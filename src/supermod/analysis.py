@@ -29,7 +29,7 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act
 from .liealg import Generator, LieVector, algebra_generators, bracket, parity, render_generator
 from .morphisms import VerificationReport
-from .scalars import Scalar, ScalarError, scalar
+from .scalars import LinComb, ScalarError, scalar
 
 __all__ = [
     "Window",
@@ -115,70 +115,58 @@ def probe_seed() -> int:
 class _RowSpan:
     """A row-reduced span of vectors over a fixed, ordered token list.
 
-    Pivot rows are normalized to a unit pivot once, so insertion and
-    membership need one division per new pivot and multiply-subtract
-    elsewhere; coefficients stay lazy fractions throughout.
+    Pivot rows are normalized to a unit pivot once and stored negated and
+    without it, so insertion and membership need one division per new
+    pivot and multiply-add elsewhere; coefficients stay lazy fractions
+    throughout.
     """
 
     def __init__(self, tokens: list[BasisToken]):
         self.index = {tok: i for i, tok in enumerate(tokens)}
-        self.pivots: dict[int, dict[int, Scalar]] = {}
+        self.pivots: dict[int, LinComb] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
-        while row:
-            lead = min(row)
+    def _reduce(self, row: LinComb) -> LinComb:
+        terms = row._terms
+        while terms:
+            lead = min(terms)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row.pop(lead)
-            for j, c in pivot.items():
-                if j == lead:
-                    continue
-                acc = row.get(j)
-                term = c * factor
-                val = -term if acc is None else acc - term
-                if val.is_zero:
-                    row.pop(j, None)
-                else:
-                    row[j] = val
+            row.add_scaled(pivot, terms.pop(lead))
         return row
 
-    def _to_row(self, vec: ModuleVector) -> dict[int, Scalar]:
-        row = {}
+    def _to_row(self, vec: ModuleVector) -> LinComb:
+        row = LinComb()
         for tok, coeff in vec.items():
             idx = self.index.get(tok)
             if idx is None:
                 raise KeyError(f"token outside the window: {tok}")
-            row[idx] = coeff
+            row.add_term(idx, coeff)
         return row
 
     def insert(self, vec: ModuleVector) -> bool:
         """Add a vector to the span; True when the rank grew."""
         row = self._reduce(self._to_row(vec))
-        if not row:
+        if row.is_zero:
             return False
-        lead = min(row)
-        inv = row[lead] ** -1
-        self.pivots[lead] = {j: c * inv for j, c in row.items()}
+        lead = min(row._terms)
+        self.pivots[lead] = row.scale(-(row._terms.pop(lead) ** -1))
         return True
 
     def contains(self, vec: ModuleVector) -> bool:
-        return not self._reduce(self._to_row(vec))
+        return self._reduce(self._to_row(vec)).is_zero
 
 
 def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector, int]:
     """Drop tokens outside the window, returning the dropped-term count."""
-    dropped = [tok for tok, _ in vec.items() if tok not in allowed]
-    if not dropped:
+    kept = {tok: coeff for tok, coeff in vec.items() if tok in allowed}
+    if len(kept) == len(vec):
         return vec, 0
-    out = vec
-    for tok in dropped:
-        out = out - ModuleVector.single(tok, out.coefficient(tok))
-    return out, len(dropped)
+    return ModuleVector(kept), len(vec) - len(kept)
 
 
 def _specialize_vector(vec: ModuleVector, assignments: dict) -> ModuleVector:
@@ -381,7 +369,7 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
             piece = mapping.get(tok)
             if piece is None:
                 return None, tok
-            out = out + piece.scale(coeff)
+            out.add_scaled(piece, coeff)
         return out, None
 
     window_tokens = set(source.tokens(window.token_bound))
@@ -500,14 +488,14 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
                 image = g_act(handle, LieVector.basis(gen, sector),
                               ModuleVector.single(tok))
                 memo[gen, tok] = image
-            out = out + image.scale(coeff)
+            out.add_scaled(image, coeff)
         return out
 
     def act_vector(gv: LieVector, vec: ModuleVector) -> ModuleVector:
         out = ModuleVector.zero()
         for gen, coeff in gv.items():
             if gen.kind != "C":
-                out = out + act(gen, vec).scale(coeff)
+                out.add_scaled(act(gen, vec), coeff)
         return out
 
     checked = 0

@@ -63,13 +63,24 @@ def _parse_window(text: str, parts: int) -> Window:
     return Window(*bounds)
 
 
+def _int_window(bound: int) -> int:
+    if bound < 1:
+        raise UsageError(f"--window must be >= 1, got {bound}")
+    return bound
+
+
 def _parse_assignments(text: str | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for piece in filter(None, (text or "").split(",")):
         name, sep, value = piece.partition("=")
         if not sep or not name.strip():
             raise UsageError(f"--specialize entries look like name=value, got {piece!r}")
-        out[name.strip()] = Fraction(value.strip())
+        try:
+            out[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(
+                f"--specialize value for {name.strip()} is not a rational: {value!r}"
+            ) from None
     return out
 
 
@@ -142,13 +153,13 @@ def _emit(payload, args) -> None:
 # subcommands: each returns (payload, passed)
 
 def _cmd_verify_algebra(args):
-    report = jacobi_check(parse_sector(args.sector), args.window)
+    report = jacobi_check(parse_sector(args.sector), _int_window(args.window))
     return report.to_json(), report.passed
 
 
 def _cmd_verify_morphism(args):
     b = scalar(args.b) if args.b is not None else None
-    report = hom_check(args.map, args.window, b)
+    report = hom_check(args.map, _int_window(args.window), b)
     return report.to_json(), report.passed
 
 
@@ -167,6 +178,7 @@ def _cmd_act(args):
 
 def _cmd_action_table(args):
     handle = _build_handle(args)
+    _int_window(args.window)
     gens = algebra_generators(handle.sector, args.window, include_central=True)
     entries = {}
     for gen in gens:
@@ -337,7 +349,11 @@ def main(argv=None) -> int:
     except (ScalarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

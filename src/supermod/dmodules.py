@@ -37,8 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .scalars import ONE as SC_ONE
-from .scalars import Scalar, ScalarParseError, render_linear, scalar
+from .scalars import LinComb, Scalar, ScalarParseError, render_linear, scalar
 
 __all__ = [
     "FAMILIES",
@@ -92,27 +91,22 @@ class BasisToken(NamedTuple):
         return self._replace(bar=False)
 
 
-class ModuleVector:
+def _check_family(tokens) -> None:
+    """Raise ValueError unless all the tokens belong to one family."""
+    families = list(dict.fromkeys(tok.family for tok in tokens))
+    if len(families) > 1:
+        raise ValueError(
+            f"mixed families in one vector: {families[0]!r} and {families[1]!r}")
+
+
+class ModuleVector(LinComb):
     """A finite Scalar-linear combination of basis tokens of one family."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[BasisToken, Scalar] | None = None):
-        clean: dict[BasisToken, Scalar] = {}
-        family = None
-        for tok, coeff in (terms or {}).items():
-            if family is None:
-                family = tok.family
-            elif tok.family != family:
-                raise ValueError(
-                    f"mixed families in one vector: {family!r} and {tok.family!r}")
-            if not coeff.is_zero:
-                clean[tok] = coeff
-        self._terms = clean
-
-    @staticmethod
-    def zero() -> "ModuleVector":
-        return ModuleVector()
+        _check_family(terms or ())
+        super().__init__(terms)
 
     @staticmethod
     def single(token: BasisToken,
@@ -125,16 +119,6 @@ class ModuleVector:
     def support(self) -> list[BasisToken]:
         return sorted(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, token: BasisToken) -> Scalar:
-        return self._terms.get(token, scalar(0))
-
     def parity(self) -> int | None:
         """0 or 1 if all tokens share a bar flag, None for mixed or zero."""
         flags = {tok.bar for tok in self._terms}
@@ -143,43 +127,17 @@ class ModuleVector:
         return 1 if flags.pop() else 0
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        merged = dict(self._terms)
-        for tok, coeff in other._terms.items():
-            acc = merged.get(tok)
-            merged[tok] = coeff if acc is None else acc + coeff
-        return ModuleVector(merged)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector({tok: -c for tok, c in self._terms.items()})
-
-    def scale(self, factor: Scalar | int | Fraction) -> "ModuleVector":
-        f = scalar(factor)
-        if f.is_zero:
-            return ModuleVector()
-        return ModuleVector({tok: c * f for tok, c in self._terms.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
+        if isinstance(other, ModuleVector):
+            # each side is single-family already, so one token of each decides
+            _check_family([next(iter(v._terms)) for v in (self, other) if v._terms])
+        return super().__add__(other)
 
     def map_tokens(self, fn) -> "ModuleVector":
         """Rebuild the vector with fn applied to every token (e.g. barring)."""
-        out: dict[BasisToken, Scalar] = {}
+        out = ModuleVector.zero()
         for tok, coeff in self._terms.items():
-            new = fn(tok)
-            acc = out.get(new)
-            out[new] = coeff if acc is None else acc + coeff
-        return ModuleVector(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self) -> int:
-        return hash(frozenset((tok, coeff) for tok, coeff in self._terms.items()))
+            out.add_term(fn(tok), coeff)
+        return out
 
     def __str__(self) -> str:
         return f"ModuleVector({len(self._terms)} terms)"
@@ -202,14 +160,14 @@ class DModule:
         """Multiply by t^m, any integer m."""
         out = ModuleVector.zero()
         for tok, coeff in vec.items():
-            out = out + self._t_token(m, tok).scale(coeff)
+            out.add_scaled(self._t_token(m, tok), coeff)
         return out
 
     def act_D(self, vec: ModuleVector) -> ModuleVector:
         """Apply the Euler operator D = t*d/dt."""
         out = ModuleVector.zero()
         for tok, coeff in vec.items():
-            out = out + self._d_token(tok).scale(coeff)
+            out.add_scaled(self._d_token(tok), coeff)
         return out
 
     def tokens(self, bound: int) -> list[BasisToken]:
@@ -395,13 +353,11 @@ class FractionModule(DModule):
         for tok, coeff in vec.items():
             if tok.kind == 0:
                 if tok.i:
-                    out = out + ModuleVector.single(
-                        tok._replace(i=tok.i - 1), coeff * tok.i)
+                    out.add_term(tok._replace(i=tok.i - 1), coeff * tok.i)
             else:
-                out = out + ModuleVector.single(
-                    tok._replace(k=tok.k + 1), coeff * (-tok.k))
+                out.add_term(tok._replace(k=tok.k + 1), coeff * (-tok.k))
             for j, alpha in enumerate(self.alphas):
-                out = out + self._times_inv(tok, j).scale(coeff * alpha)
+                out.add_scaled(self._times_inv(tok, j), coeff * alpha)
         return out
 
     # -- the uniform interface ------------------------------------------
@@ -411,7 +367,7 @@ class FractionModule(DModule):
         for _ in range(abs(m)):
             out = ModuleVector.zero()
             for tok, coeff in vec.items():
-                out = out + step(tok).scale(coeff)
+                out.add_scaled(step(tok), coeff)
             vec = out
         return vec
 
@@ -472,13 +428,11 @@ class DegreeModule(DModule):
         out = ModuleVector.zero()
         for tok, coeff in vec.items():
             if tok.i:
-                out = out + ModuleVector.single(
-                    tok._replace(i=tok.i - 1), coeff * tok.i)
+                out.add_term(tok._replace(i=tok.i - 1), coeff * tok.i)
             if tok.k + 1 < self.n:
-                out = out + ModuleVector.single(tok._replace(k=tok.k + 1), coeff)
+                out.add_term(tok._replace(k=tok.k + 1), coeff)
             else:
-                out = out + ModuleVector.single(
-                    tok._replace(i=tok.i + 1, k=0), coeff)
+                out.add_term(tok._replace(i=tok.i + 1, k=0), coeff)
         return out
 
     def _d_token(self, tok: BasisToken) -> ModuleVector:
@@ -623,6 +577,6 @@ def parse_vector(spec: DModule, text: str) -> ModuleVector:
         coeff = scalar(lead * sign)
         if match.group("coef") is not None:
             coeff = coeff * Scalar.parse(match.group("coef"))
-        out = out + ModuleVector.single(parse_token(spec, match.group("tok")), coeff)
+        out.add_term(parse_token(spec, match.group("tok")), coeff)
         lead = 1
     return out

@@ -37,11 +37,11 @@ stay pinned to the construction they summarize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dmodules import BasisToken, DModule, LaurentModule, ModuleVector
-from .liealg import Generator, LieVector, n1_embed, render_generator
+from .liealg import Generator, LieVector, n1_embed
 from .morphisms import VerificationReport, apply_sigma_aut, apply_sigma_b
 from .scalars import Scalar, scalar
 from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
@@ -83,7 +83,7 @@ def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
             piece = ModuleVector.single(tok, coeff * tok_coeff)
             for _ in range(l):
                 piece = spec.act_D(piece)
-            out = out + spec.act_t(k, piece)
+            out.add_scaled(spec.act_t(k, piece))
     return out
 
 
@@ -200,22 +200,18 @@ def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     v = handle.reduce(v)
     if handle.sigma:
         g = apply_sigma_aut(g)
-    plan: dict[Generator, Scalar] = {}
+    plan = LieVector(0)
     for gen, coeff in g.items():
         if handle.sector:
             for image, factor in _half_pullback(gen):
-                if image.kind == "C":
-                    continue
-                acc = plan.get(image)
-                term = coeff * factor
-                plan[image] = term if acc is None else acc + term
+                if image.kind != "C":
+                    plan.add_term(image, coeff * factor)
         elif gen.kind != "C":
-            acc = plan.get(gen)
-            plan[gen] = coeff if acc is None else acc + coeff
+            plan.add_term(gen, coeff)
     out = ModuleVector.zero()
     for gen, coeff in sorted(plan.items()):
         op = apply_sigma_b(LieVector.basis(gen, 0), handle.b)
-        out = out + superize_act(handle.module, op, v).scale(coeff)
+        out.add_scaled(superize_act(handle.module, op, v), coeff)
     return handle.reduce(out)
 
 

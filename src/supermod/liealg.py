@@ -22,11 +22,10 @@ G_p = -(G+_p / 2 + G-_p); see :func:`n1_embed`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from .scalars import Scalar, render_linear, scalar
+from .scalars import LinComb, Scalar, render_linear, scalar
 
 __all__ = [
     "Generator",
@@ -113,7 +112,7 @@ def parse_sector(text: str) -> int:
     text = text.strip()
     if text in ("0", "0/2"):
         return 0
-    if text in ("1/2", "1/2".replace("/", " / ").strip()):
+    if text == "1/2":
         return 1
     raise ValueError(f"sector must be 0 or 1/2, got {text!r}")
 
@@ -132,20 +131,22 @@ def _check_sector(gen: Generator, sector: int) -> None:
             f"{render_sector(sector)}")
 
 
-class LieVector:
+class LieVector(LinComb):
     """A finite Scalar-linear combination of generators in a fixed sector."""
 
-    __slots__ = ("sector", "_terms")
+    __slots__ = ("sector",)
 
     def __init__(self, sector: int,
                  terms: dict[Generator, Scalar] | None = None):
-        cleaned = {}
-        for gen, coeff in (terms or {}).items():
+        for gen in terms or ():
             _check_sector(gen, sector)
-            if not coeff.is_zero:
-                cleaned[gen] = coeff
+        super().__init__(terms)
         self.sector = sector
-        self._terms = cleaned
+
+    def _like(self, terms: dict) -> "LieVector":
+        out = super()._like(terms)
+        out.sector = self.sector
+        return out
 
     @staticmethod
     def basis(gen: Generator, sector: int,
@@ -155,20 +156,6 @@ class LieVector:
     @staticmethod
     def zero(sector: int) -> "LieVector":
         return LieVector(sector)
-
-    def items(self) -> Iterator[tuple[Generator, Scalar]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, gen: Generator) -> Scalar:
-        from .scalars import ZERO
-        return self._terms.get(gen, ZERO)
 
     def parity(self) -> int | None:
         parities = {parity(g.kind) for g in self._terms}
@@ -184,56 +171,23 @@ class LieVector:
 
     def __add__(self, other: "LieVector") -> "LieVector":
         self._require_same_sector(other)
-        terms = dict(self._terms)
-        for gen, coeff in other._terms.items():
-            if gen in terms:
-                s = terms[gen] + coeff
-                if s.is_zero:
-                    del terms[gen]
-                else:
-                    terms[gen] = s
-            else:
-                terms[gen] = coeff
-        return LieVector(self.sector, terms)
-
-    def __sub__(self, other: "LieVector") -> "LieVector":
-        return self + (-other)
-
-    def __neg__(self) -> "LieVector":
-        return LieVector(self.sector, {g: -c for g, c in self._terms.items()})
-
-    def scale(self, factor: Scalar | int | Fraction) -> "LieVector":
-        factor = scalar(factor)
-        if factor.is_zero:
-            return LieVector(self.sector)
-        return LieVector(self.sector,
-                         {g: c * factor for g, c in self._terms.items()})
-
-    __rmul__ = __mul__ = scale
+        return super().__add__(other)
 
     def drop_central(self) -> "LieVector":
         """The image in the quotient by the center (C coefficient dropped)."""
-        return LieVector(self.sector, {
-            g: c for g, c in self._terms.items() if g.kind != "C"})
+        return self._like({g: c for g, c in self._terms.items() if g.kind != "C"})
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieVector):
-            return NotImplemented
-        if self.sector != other.sector and not (self.is_zero and other.is_zero):
+        if (isinstance(other, LieVector) and self.sector != other.sector
+                and not (self.is_zero and other.is_zero)):
             return False
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(c == other._terms[g] for g, c in self._terms.items())
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash(frozenset((g, hash(c)) for g, c in self._terms.items()))
+    __hash__ = LinComb.__hash__
 
     def render(self) -> str:
         order = sorted(self._terms, key=lambda g: (_KIND_ORDER[g.kind], g.index2))
         return render_linear((self._terms[g], render_generator(g)) for g in order)
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"LieVector({render_sector(self.sector)!r}, {self.render()!r})"
@@ -295,17 +249,13 @@ def _basis_bracket(x: Generator, y: Generator) -> list[tuple[Generator, Fraction
 def bracket(x: LieVector, y: LieVector) -> LieVector:
     """The supercommutator, bilinear over the scalars."""
     x._require_same_sector(y)
-    acc: dict[Generator, Scalar] = {}
+    out = LieVector(x.sector)
     for gx, cx in x.items():
         for gy, cy in y.items():
             cxy = cx * cy
             for g, f in _basis_bracket(gx, gy):
-                value = cxy * f
-                if g in acc:
-                    acc[g] = acc[g] + value
-                else:
-                    acc[g] = value
-    return LieVector(x.sector, acc)
+                out.add_term(g, cxy * f)
+    return out
 
 
 def algebra_generators(sector: int, bound: int,

@@ -44,7 +44,7 @@ from .liealg import (
     render_generator,
     render_sector,
 )
-from .scalars import Scalar, scalar
+from .scalars import Scalar
 from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement, SuperLaurent
 
 __all__ = [
@@ -107,32 +107,24 @@ def apply_delta(x: LieVector, direction: str | None = None) -> LieVector:
             f"direction {direction} does not match a sector-"
             f"{render_sector(x.sector)} argument")
     sign = 1 if direction == "half-to-zero" else -1
-    target = 0 if direction == "half-to-zero" else 1
-    acc: dict[Generator, Scalar] = {}
-
-    def add(gen: Generator, coeff) -> None:
-        if gen in acc:
-            acc[gen] = acc[gen] + coeff
-        else:
-            acc[gen] = scalar(0) + coeff
-
+    out = LieVector(0 if direction == "half-to-zero" else 1)
     for gen, c in x.items():
         if gen.kind == "L":
-            add(Generator("L", gen.index2), c)
-            add(Generator("H", gen.index2), c * Fraction(sign, 2))
+            out.add_term(Generator("L", gen.index2), c)
+            out.add_term(Generator("H", gen.index2), c * Fraction(sign, 2))
             if gen.index2 == 0:
-                add(_C, c * Fraction(1, 24))
+                out.add_term(_C, c * Fraction(1, 24))
         elif gen.kind == "H":
-            add(Generator("H", gen.index2), c)
+            out.add_term(Generator("H", gen.index2), c)
             if gen.index2 == 0:
-                add(_C, c * Fraction(sign, 6))
+                out.add_term(_C, c * Fraction(sign, 6))
         elif gen.kind == "G+":
-            add(Generator("G+", gen.index2 + sign), c)
+            out.add_term(Generator("G+", gen.index2 + sign), c)
         elif gen.kind == "G-":
-            add(Generator("G-", gen.index2 - sign), c)
+            out.add_term(Generator("G-", gen.index2 - sign), c)
         else:
-            add(_C, c)
-    return LieVector(target, acc)
+            out.add_term(_C, c)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -143,21 +135,21 @@ def apply_varpi(x: LieVector) -> SDElement:
     """The Weyl-superalgebra realization of the centerless sector-0 algebra."""
     if x.sector != 0:
         raise ValueError("varpi is defined on sector 0; shift sectors first")
-    acc = SDElement.zero()
+    out = SDElement()
     for gen, c in x.items():
         m = gen.index2 // 2
         if gen.kind == "L":
-            acc = acc + SDElement.word(m, 1, CF_ONE, -c)
+            out.add_term((m, 1, CF_ONE), -c)
             if m:
-                acc = acc + SDElement.word(m, 0, CF_N, c * Fraction(-m, 2))
+                out.add_term((m, 0, CF_N), c * Fraction(-m, 2))
         elif gen.kind == "H":
-            acc = acc + SDElement.word(m, 0, CF_N, c)
+            out.add_term((m, 0, CF_N), c)
         elif gen.kind == "G+":
-            acc = acc + SDElement.word(m, 1, CF_THETA, c * (-2))
+            out.add_term((m, 1, CF_THETA), c * (-2))
         elif gen.kind == "G-":
-            acc = acc + SDElement.word(m, 0, CF_DTHETA, c)
+            out.add_term((m, 0, CF_DTHETA), c)
         # C maps to zero: the realization factors through the quotient
-    return acc
+    return out
 
 
 def apply_sigma_b(x: LieVector | SuperLaurent, b: Scalar) -> SDElement:
@@ -167,40 +159,35 @@ def apply_sigma_b(x: LieVector | SuperLaurent, b: Scalar) -> SDElement:
     latter going to the corresponding multiplication operator.
     """
     if isinstance(x, SuperLaurent):
-        acc = SDElement.zero()
+        out = SDElement()
         for (n, th), c in x.items():
-            acc = acc + SDElement.word(n, 0, CF_THETA if th else CF_ONE, c)
-        return acc
-    acc = apply_varpi(x)
+            out.add_term((n, 0, CF_THETA if th else CF_ONE), c)
+        return out
+    out = apply_varpi(x)
     for gen, c in x.items():
         m = gen.index2 // 2
         if gen.kind == "L" and m:
-            acc = acc + SDElement.word(m, 0, CF_ONE, c * b * (-m))
+            out.add_term((m, 0, CF_ONE), c * b * (-m))
         elif gen.kind == "H":
-            acc = acc + SDElement.word(m, 0, CF_ONE, c * b * (-2))
+            out.add_term((m, 0, CF_ONE), c * b * (-2))
         elif gen.kind == "G+" and m:
-            acc = acc + SDElement.word(m, 0, CF_THETA, c * b * (-4 * m))
-    return acc
+            out.add_term((m, 0, CF_THETA), c * b * (-4 * m))
+    return out
 
 
 def apply_sigma_aut(x: LieVector) -> LieVector:
     """The order-2 automorphism fixing L: H -> -H, G+ -> -2G-, G- -> -G+/2."""
-    acc: dict[Generator, Scalar] = {}
+    out = LieVector(x.sector)
     for gen, c in x.items():
         if gen.kind == "H":
-            image = [(Generator("H", gen.index2), -c)]
+            out.add_term(Generator("H", gen.index2), -c)
         elif gen.kind == "G+":
-            image = [(Generator("G-", gen.index2), c * (-2))]
+            out.add_term(Generator("G-", gen.index2), c * (-2))
         elif gen.kind == "G-":
-            image = [(Generator("G+", gen.index2), c * Fraction(-1, 2))]
+            out.add_term(Generator("G+", gen.index2), c * Fraction(-1, 2))
         else:
-            image = [(gen, c)]
-        for g, value in image:
-            if g in acc:
-                acc[g] = acc[g] + value
-            else:
-                acc[g] = value
-    return LieVector(x.sector, acc)
+            out.add_term(gen, c)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -261,7 +261,10 @@ class Scalar:
         return na * db == nb * da
 
     def __hash__(self) -> int:
+        # parameter-free values hash like the int/Fraction they equal
         names, num, den = self._canonical()
+        if not names:
+            return hash(self.as_fraction())
         return hash((names, tuple(num.terms()), tuple(den.terms())))
 
     # ------------------------------------------------------------------
@@ -394,10 +397,7 @@ def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],
             if exp and name in assign:
                 value = value * assign[name] ** exp
         key = tuple(mon[i] for i in kept_idx)
-        if key in data:
-            data[key] = data[key] + value
-        else:
-            data[key] = value
+        data[key] = data.get(key, 0) + value
     return target.from_dict({k: v for k, v in data.items() if v})
 
 
@@ -468,30 +468,35 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
 
 
-class _ScalarParser:
-    """Recursive-descent parser for the scalar grammar.
+class _Parser:
+    """Recursive-descent skeleton shared by the scalar and operator grammars.
 
     expr   := term  (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | '+' factor | power
     power  := atom ('^' ['-'] INT)?
     atom   := INT | NAME | '(' expr ')'
+
+    Subclasses give the values of INT and NAME tokens (``leaf``), the
+    meaning of ``/`` (``divide``) and of ``^`` (``raise_to``), and the
+    exception class raised on malformed text (``error``).
     """
+
+    error = ScalarParseError
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
 
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
+    def _tokenize(self, text: str) -> list[str]:
         tokens = []
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
                 if text[pos:].strip():
-                    raise ScalarParseError(
+                    raise self.error(
                         f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
                 break
             tokens.append(m.group(m.lastgroup))
@@ -504,18 +509,18 @@ class _ScalarParser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ScalarParseError(f"unexpected end of input in {self.text!r}")
+            raise self.error(f"unexpected end of input in {self.text!r}")
         self.pos += 1
         return tok
 
-    def run(self) -> Scalar:
+    def run(self):
         value = self.expr()
         if self.peek() is not None:
-            raise ScalarParseError(
+            raise self.error(
                 f"trailing input {' '.join(self.tokens[self.pos:])!r} in {self.text!r}")
         return value
 
-    def expr(self) -> Scalar:
+    def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
             if self.take() == "+":
@@ -524,19 +529,16 @@ class _ScalarParser:
                 value = value - self.term()
         return value
 
-    def term(self) -> Scalar:
+    def term(self):
         value = self.factor()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
                 value = value * self.factor()
             else:
-                divisor = self.factor()
-                if divisor.is_zero:
-                    raise ScalarDivisionError(f"division by zero in {self.text!r}")
-                value = value / divisor
+                value = self.divide(value, self.factor())
         return value
 
-    def factor(self) -> Scalar:
+    def factor(self):
         if self.peek() == "-":
             self.take()
             return -self.factor()
@@ -545,33 +547,46 @@ class _ScalarParser:
             return self.factor()
         return self.power()
 
-    def power(self) -> Scalar:
+    def power(self):
         base = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return base
+        self.take()
+        sign = 1
+        if self.peek() == "-":
             self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ScalarParseError(f"expected integer exponent in {self.text!r}")
-            return base ** (sign * int(tok))
-        return base
-
-    def atom(self) -> Scalar:
+            sign = -1
         tok = self.take()
-        if tok.isdigit():
-            return Scalar.from_rational(int(tok))
+        if not tok.isdigit():
+            raise self.error(f"expected integer exponent in {self.text!r}")
+        return self.raise_to(base, sign * int(tok))
+
+    def atom(self):
+        tok = self.take()
         if tok == "(":
             value = self.expr()
             if self.peek() != ")":
-                raise ScalarParseError(f"missing ')' in {self.text!r}")
+                raise self.error(f"missing ')' in {self.text!r}")
             self.take()
             return value
-        if _NAME_RE.match(tok):
-            return Scalar.parameter(tok)
-        raise ScalarParseError(f"unexpected token {tok!r} in {self.text!r}")
+        if tok.isdigit() or _NAME_RE.match(tok):
+            return self.leaf(tok)
+        raise self.error(f"unexpected token {tok!r} in {self.text!r}")
+
+
+class _ScalarParser(_Parser):
+    def leaf(self, tok: str) -> Scalar:
+        if tok.isdigit():
+            return Scalar.from_rational(int(tok))
+        return Scalar.parameter(tok)
+
+    def divide(self, value: Scalar, divisor: Scalar) -> Scalar:
+        if divisor.is_zero:
+            raise ScalarDivisionError(f"division by zero in {self.text!r}")
+        return value / divisor
+
+    def raise_to(self, base: Scalar, exponent: int) -> Scalar:
+        return base ** exponent
 
 
 def scalar(value: ScalarLike) -> Scalar:
@@ -579,12 +594,16 @@ def scalar(value: ScalarLike) -> Scalar:
     return Scalar._coerce(value)
 
 
+ZERO = Scalar.from_rational(0)
+ONE = Scalar.from_rational(1)
+
+
 def render_linear(pairs: Iterator[tuple["Scalar", str]] | list) -> str:
     """Render a linear combination of basis words with Scalar coefficients.
 
     ``pairs`` yields (coefficient, word-text); the word-text "1" stands for
-    the empty word.  Used by every container in the package so that linear
-    combinations print consistently.
+    the empty word.  Every :class:`LinComb` subclass renders through it, so
+    that linear combinations print consistently.
     """
     pieces = []
     for coeff, text in pairs:
@@ -610,5 +629,108 @@ def render_linear(pairs: Iterator[tuple["Scalar", str]] | list) -> str:
     return out
 
 
-ZERO = Scalar.from_rational(0)
-ONE = Scalar.from_rational(1)
+class LinComb:
+    """A finite Scalar-linear combination of hashable keys.
+
+    The shared core of the package's sparse containers (Weyl words, Laurent
+    superfunctions, Lie vectors, module vectors): ``_terms`` maps each key
+    to a nonzero coefficient, and every operation keeps zero coefficients
+    out of it.  Subclasses validate keys where they are built from outside
+    and add rendering and domain operations; ``add_term`` and
+    ``add_scaled`` accumulate in place and trust their keys.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self._terms = {k: c for k, c in (terms or {}).items() if not c.is_zero}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def _like(self, terms: dict):
+        """A combination of the same kind as self over already-clean terms."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    def items(self):
+        return iter(self._terms.items())
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, ZERO)
+
+    def add_term(self, key, coeff: Scalar):
+        """Add coeff * key in place, dropping the key if it cancels; returns self."""
+        terms = self._terms
+        old = terms.get(key)
+        if old is not None:
+            coeff = old + coeff
+        if coeff.is_zero:
+            terms.pop(key, None)
+        else:
+            terms[key] = coeff
+        return self
+
+    def add_scaled(self, other: "LinComb", factor: ScalarLike = ONE):
+        """Add factor * other in place; returns self."""
+        factor = scalar(factor)
+        if factor.is_zero:
+            return self
+        unit = factor.is_one
+        terms = self._terms
+        for key, coeff in other._terms.items():
+            if not unit:
+                coeff = coeff * factor
+            old = terms.get(key)
+            if old is None:
+                terms[key] = coeff
+                continue
+            coeff = old + coeff
+            if coeff.is_zero:
+                del terms[key]
+            else:
+                terms[key] = coeff
+        return self
+
+    def __add__(self, other: "LinComb"):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(dict(self._terms)).add_scaled(other)
+
+    def __sub__(self, other: "LinComb"):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def scale(self, factor: ScalarLike):
+        factor = scalar(factor)
+        if factor.is_zero:
+            return self._like({})
+        return self._like({k: c * factor for k, c in self._terms.items()})
+
+    __rmul__ = __mul__ = scale
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        theirs = other._terms
+        return (self._terms.keys() == theirs.keys()
+                and all(c == theirs[k] for k, c in self._terms.items()))
+
+    def __hash__(self) -> int:
+        return hash(frozenset((k, hash(c)) for k, c in self._terms.items()))
+
+    def __str__(self) -> str:
+        return self.render()

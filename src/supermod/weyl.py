@@ -20,12 +20,10 @@ the normal-ordering arithmetic.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .scalars import ONE as SC_ONE
-from .scalars import Scalar, ScalarParseError, render_linear, scalar
+from .scalars import LinComb, Scalar, ScalarParseError, _Parser, render_linear, scalar
 
 __all__ = [
     "CF_ONE",
@@ -73,18 +71,10 @@ class OperatorParseError(ScalarParseError):
 Word = tuple[int, int, int]  # (t-power, D-power, clifford unit)
 
 
-class SDElement:
+class SDElement(LinComb):
     """A finite sum of normal-ordered words t^k D^l c with Scalar coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Word, Scalar] | None = None):
-        self._terms = {w: c for w, c in (terms or {}).items() if not c.is_zero}
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zero() -> "SDElement":
-        return SDElement()
+    __slots__ = ()
 
     @staticmethod
     def word(k: int, l: int, c: int = CF_ONE, coeff: Scalar | int | Fraction = 1,
@@ -98,49 +88,6 @@ class SDElement:
     @staticmethod
     def one() -> "SDElement":
         return SDElement.word(0, 0)
-
-    def items(self) -> Iterator[tuple[Word, Scalar]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, word: Word) -> Scalar:
-        return self._terms.get(word, SC_ONE - SC_ONE)
-
-    # ------------------------------------------------------------------
-    # linear structure
-
-    def __add__(self, other: "SDElement") -> "SDElement":
-        if not isinstance(other, SDElement):
-            return NotImplemented
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            if w in terms:
-                s = terms[w] + c
-                if s.is_zero:
-                    del terms[w]
-                else:
-                    terms[w] = s
-            else:
-                terms[w] = c
-        return SDElement(terms)
-
-    def __sub__(self, other: "SDElement") -> "SDElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SDElement":
-        return SDElement({w: -c for w, c in self._terms.items()})
-
-    def scale(self, factor: Scalar | int | Fraction) -> "SDElement":
-        factor = scalar(factor)
-        if factor.is_zero:
-            return SDElement()
-        return SDElement({w: c * factor for w, c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # multiplication
@@ -160,7 +107,7 @@ class SDElement:
     def _mul_sd(self, other: "SDElement") -> "SDElement":
         # (t^k1 D^l1 c1)(t^k2 D^l2 c2): push D^l1 through t^k2 binomially,
         # multiply the Clifford units; the t/D factor is even so no sign.
-        acc: dict[Word, Scalar] = {}
+        out = SDElement()
         for (k1, l1, c1), ca in self._terms.items():
             for (k2, l2, c2), cb in other._terms.items():
                 cf = _CF_MUL[(c1, c2)]
@@ -173,13 +120,9 @@ class SDElement:
                         continue
                     value = coeff * factor
                     for sign, unit in cf:
-                        w = (k1 + k2, j + l2, unit)
-                        inc = value if sign > 0 else -value
-                        if w in acc:
-                            acc[w] = acc[w] + inc
-                        else:
-                            acc[w] = inc
-        return SDElement(acc)
+                        out.add_term((k1 + k2, j + l2, unit),
+                                     value if sign > 0 else -value)
+        return out
 
     # ------------------------------------------------------------------
     # super structure
@@ -206,7 +149,7 @@ class SDElement:
     # the defining action on Laurent superfunctions
 
     def apply(self, f: "SuperLaurent") -> "SuperLaurent":
-        acc: dict[tuple[int, int], Scalar] = {}
+        out = SuperLaurent()
         for (k, l, c), coeff in self._terms.items():
             for (n, th), fc in f._terms.items():
                 if c == CF_N:
@@ -226,31 +169,14 @@ class SDElement:
                 factor = n ** l
                 if factor == 0:
                     continue
-                value = coeff * fc if factor == 1 else coeff * fc * factor
-                key = (n + k, new_th)
-                if key in acc:
-                    acc[key] = acc[key] + value
-                else:
-                    acc[key] = value
-        return SuperLaurent(acc)
+                out.add_term((n + k, new_th),
+                             coeff * fc if factor == 1 else coeff * fc * factor)
+        return out
 
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SDElement):
-            return NotImplemented
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(c == other._terms[w] for w, c in self._terms.items())
-
-    def __hash__(self) -> int:
-        return hash(frozenset((w, hash(c)) for w, c in self._terms.items()))
-
     def render(self) -> str:
         return render_linear(
             (self._terms[w], _word_text(w)) for w in sorted(self._terms))
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"SDElement({self.render()!r})"
@@ -268,13 +194,10 @@ def _word_text(word: Word) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class SuperLaurent:
+class SuperLaurent(LinComb):
     """An element of C[t, t^-1, theta]: sum of c_{n,eps} t^n theta^eps."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero}
+    __slots__ = ()
 
     @staticmethod
     def monomial(n: int, theta: int = 0, coeff: Scalar | int | Fraction = 1,
@@ -283,59 +206,11 @@ class SuperLaurent:
             raise ValueError("theta exponent must be 0 or 1")
         return SuperLaurent({(n, theta): scalar(coeff)})
 
-    @staticmethod
-    def zero() -> "SuperLaurent":
-        return SuperLaurent()
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Scalar]]:
-        return iter(self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def parity(self) -> int | None:
         parities = {th for (_, th) in self._terms}
         if len(parities) == 1:
             return parities.pop()
         return None
-
-    def __add__(self, other: "SuperLaurent") -> "SuperLaurent":
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            if m in terms:
-                s = terms[m] + c
-                if s.is_zero:
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = c
-        return SuperLaurent(terms)
-
-    def __sub__(self, other: "SuperLaurent") -> "SuperLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "SuperLaurent":
-        return SuperLaurent({m: -c for m, c in self._terms.items()})
-
-    def scale(self, factor: Scalar | int | Fraction) -> "SuperLaurent":
-        factor = scalar(factor)
-        if factor.is_zero:
-            return SuperLaurent()
-        return SuperLaurent({m: c * factor for m, c in self._terms.items()})
-
-    __rmul__ = __mul__ = scale
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuperLaurent):
-            return NotImplemented
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(c == other._terms[m] for m, c in self._terms.items())
-
-    def __hash__(self) -> int:
-        return hash(frozenset((m, hash(c)) for m, c in self._terms.items()))
 
     def render(self) -> str:
         def text(n: int, th: int) -> str:
@@ -349,9 +224,6 @@ class SuperLaurent:
         return render_linear(
             (self._terms[m], text(*m)) for m in sorted(self._terms))
 
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"SuperLaurent({self.render()!r})"
 
@@ -359,162 +231,49 @@ class SuperLaurent:
 # ----------------------------------------------------------------------
 # operator expressions
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+#: the words the reserved identifiers of the operator grammar stand for
+_GENERATOR_WORDS = {"t": (1, 0, CF_ONE), "D": (0, 1, CF_ONE),
+                    "theta": (0, 0, CF_THETA), "dtheta": (0, 0, CF_DTHETA)}
 
 
-class _OperatorParser:
-    """Recursive-descent parser for operator expressions.
+class _OperatorParser(_Parser):
+    """The scalar grammar over the Weyl superalgebra.
 
-    Same shape as the scalar grammar, with the reserved identifiers t, D,
-    theta, dtheta denoting the algebra generators, other identifiers
-    denoting scalar parameters, and * meaning the (noncommutative) product.
-    Division and negative powers are only defined where the operand is a
-    pure scalar or a power of t.
+    The reserved identifiers t, D, theta, dtheta denote the algebra
+    generators, other identifiers denote scalar parameters, and * means
+    the (noncommutative) product.  Division and negative powers are only
+    defined where the operand is a pure scalar or a power of t.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = self._tokenize(text)
-        self.pos = 0
+    error = OperatorParseError
 
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise OperatorParseError(
-                        f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
-                break
-            tokens.append(m.group(m.lastgroup))
-            pos = m.end()
-        return tokens
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise OperatorParseError(f"unexpected end of input in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def run(self) -> SDElement:
-        value = self.expr()
-        if self.peek() is not None:
-            raise OperatorParseError(
-                f"trailing input {' '.join(self.tokens[self.pos:])!r} in {self.text!r}")
-        return value
-
-    def expr(self) -> SDElement:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
-
-    def term(self) -> SDElement:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                value = value * self.factor()
-            else:
-                value = value * _invert(self.factor(), self.text)
-        return value
-
-    def factor(self) -> SDElement:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> SDElement:
-        base = self.atom()
-        if self.peek() != "^":
-            return base
-        self.take()
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok = self.take()
-        if not tok.isdigit():
-            raise OperatorParseError(f"expected integer exponent in {self.text!r}")
-        return _power(base, sign * int(tok), self.text)
-
-    def atom(self) -> SDElement:
-        tok = self.take()
+    def leaf(self, tok: str) -> SDElement:
         if tok.isdigit():
             return SDElement.one().scale(int(tok))
-        if tok == "(":
-            value = self.expr()
-            if self.peek() != ")":
-                raise OperatorParseError(f"missing ')' in {self.text!r}")
-            self.take()
-            return value
-        if tok == "t":
-            return SDElement.word(1, 0)
-        if tok == "D":
-            return SDElement.word(0, 1)
-        if tok == "theta":
-            return SDElement.word(0, 0, CF_THETA)
-        if tok == "dtheta":
-            return SDElement.word(0, 0, CF_DTHETA)
-        if tok[0].isalpha() or tok[0] == "_":
-            return SDElement.one().scale(Scalar.parameter(tok))
-        raise OperatorParseError(f"unexpected token {tok!r} in {self.text!r}")
+        if tok in _GENERATOR_WORDS:
+            return SDElement.word(*_GENERATOR_WORDS[tok])
+        return SDElement.one().scale(Scalar.parameter(tok))
 
+    def divide(self, value: SDElement, divisor: SDElement) -> SDElement:
+        return value * self._invert(divisor)
 
-def _pure_scalar(x: SDElement) -> Scalar | None:
-    if x.is_zero:
-        return SC_ONE - SC_ONE
-    terms = dict(x.items())
-    if set(terms) == {(0, 0, CF_ONE)}:
-        return terms[(0, 0, CF_ONE)]
-    return None
+    def raise_to(self, base: SDElement, exponent: int) -> SDElement:
+        if exponent < 0:
+            base, exponent = self._invert(base), -exponent
+        out = base if exponent else SDElement.one()
+        for _ in range(exponent - 1):
+            out = out * base
+        return out
 
-
-def _pure_t_power(x: SDElement) -> tuple[int, Scalar] | None:
-    terms = dict(x.items())
-    if len(terms) != 1:
-        return None
-    ((k, l, c), coeff), = terms.items()
-    if l == 0 and c == CF_ONE:
-        return k, coeff
-    return None
-
-
-def _invert(x: SDElement, text: str) -> SDElement:
-    s = _pure_scalar(x)
-    if s is not None:
-        if s.is_zero:
-            raise OperatorParseError(f"division by zero in {text!r}")
-        return SDElement.one().scale(SC_ONE / s)
-    tp = _pure_t_power(x)
-    if tp is not None:
-        k, coeff = tp
-        return SDElement.word(-k, 0, CF_ONE, SC_ONE / coeff)
-    raise OperatorParseError(f"cannot divide by a non-scalar operator in {text!r}")
-
-
-def _power(x: SDElement, exponent: int, text: str) -> SDElement:
-    if exponent == 0:
-        return SDElement.one()
-    if exponent < 0:
-        return _power(_invert(x, text), -exponent, text)
-    out = x
-    for _ in range(exponent - 1):
-        out = out * x
-    return out
+    def _invert(self, x: SDElement) -> SDElement:
+        if x.is_zero:
+            raise OperatorParseError(f"division by zero in {self.text!r}")
+        if len(x) == 1:
+            ((k, l, c), coeff), = x.items()
+            if l == 0 and c == CF_ONE:
+                return SDElement.word(-k, 0, CF_ONE, SC_ONE / coeff)
+        raise OperatorParseError(
+            f"cannot divide by a non-scalar operator in {self.text!r}")
 
 
 def parse_operator(text: str) -> SDElement:

@@ -203,3 +203,29 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
         tok = parse_token(spec, token_text)
         assert tok.family == "laurent"
         assert scalar(coeff_text).render() == coeff_text
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract: usage errors exit 2 with a diagnostic, no traceback
+
+@pytest.mark.parametrize("args", [
+    ("verify-algebra", "--window", "0"),
+    ("verify-morphism", "--map", "varpi", "--window", "-2"),
+    ("action-table", "--module", LAURENT, "--b", "b", "--window", "-1"),
+    ("probe", "--module", LAURENT, "--b", "b", "--seed", "t^0",
+     "--window", "2,3,4", "--specialize", "a=1/0"),
+], ids=["algebra-window-0", "morphism-window-negative",
+        "action-table-window-negative", "specialize-zero-denominator"])
+def test_bad_inputs_exit_two(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify-algebra", "--window", "1",
+                         "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.exists()

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermod.dmodules import LaurentModule, ModuleVector, OmegaModule
+from supermod.liealg import Generator, LieVector
 from supermod.scalars import (
     ONE,
     ZERO,
+    LinComb,
     Scalar,
     ScalarDivisionError,
     ScalarParseError,
@@ -118,6 +121,14 @@ def test_reserved_parameter_names():
             Scalar.parameter(name)
 
 
+def test_rational_hashes_match_int_and_fraction():
+    assert hash(scalar(1)) == hash(1)
+    assert hash(scalar(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert hash(b / b) == hash(1)
+    assert {1: "x"}.get(scalar(1)) == "x"
+    assert {Fraction(1, 2): "y"}.get(scalar(2) ** -1) == "y"
+
+
 def test_parameters_visible():
     assert (alpha + b).parameters == ("alpha", "b")
     assert (b - b).parameters == ()
@@ -176,3 +187,40 @@ def test_specialize_commutes_with_addition(x, q):
     y = x + Fraction(1, 2)
     assert y.specialize({"a": q, "b": q, "alpha": q}) == x.specialize(
         {"a": q, "b": q, "alpha": q}) + Fraction(1, 2)
+
+
+# ----------------------------------------------------------------------
+# the shared linear-combination core
+
+@st.composite
+def combinations(draw):
+    keys = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=4))
+    return LinComb({k: draw(scalars(depth=1)) for k in keys})
+
+
+@settings(max_examples=60, deadline=None)
+@given(combinations(), combinations(), scalars(depth=1))
+def test_in_place_accumulation_matches_out_of_place(x, y, f):
+    expected = x + y.scale(f)
+    scaled = LinComb(dict(x.items())).add_scaled(y, f)
+    termwise = LinComb(dict(x.items()))
+    for key, coeff in y.items():
+        termwise.add_term(key, coeff * f)
+    for got in (scaled, termwise, expected, x - y, -x):
+        assert not any(c.is_zero for _, c in got.items())
+    assert scaled == expected and termwise == expected
+    assert hash(scaled) == hash(expected) == hash(termwise)
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+
+
+def test_container_key_checks_still_raise():
+    with pytest.raises(ValueError, match="sector mismatch"):
+        LieVector.basis(Generator("L", 0), 0) + LieVector.basis(Generator("L", 0), 1)
+    laurent = ModuleVector.single(LaurentModule("a").token(0))
+    omega = ModuleVector.single(OmegaModule(2).token(0))
+    with pytest.raises(ValueError, match="mixed families"):
+        laurent + omega
+    with pytest.raises(ValueError, match="mixed families"):
+        laurent - omega
+    with pytest.raises(ValueError, match="mixed families"):
+        ModuleVector({**dict(laurent.items()), **dict(omega.items())})
