@@ -475,29 +475,6 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
     tokens = handle.tokens(window.token_bound)
-
-    # every single-token application is computed once; both sides of the
-    # axiom are then linear combinations of memoized vectors
-    memo: dict[tuple[Generator, BasisToken], ModuleVector] = {}
-
-    def act(gen: Generator, vec: ModuleVector) -> ModuleVector:
-        out = ModuleVector.zero()
-        for tok, coeff in vec.items():
-            image = memo.get((gen, tok))
-            if image is None:
-                image = g_act(handle, LieVector.basis(gen, sector),
-                              ModuleVector.single(tok))
-                memo[gen, tok] = image
-            out.add_scaled(image, coeff)
-        return out
-
-    def act_vector(gv: LieVector, vec: ModuleVector) -> ModuleVector:
-        out = ModuleVector.zero()
-        for gen, coeff in gv.items():
-            if gen.kind != "C":
-                out.add_scaled(act(gen, vec), coeff)
-        return out
-
     checked = 0
     violations = []
     for i, x in enumerate(gens):
@@ -508,9 +485,9 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
             sign = (-1) ** (parity(x.kind) * parity(y.kind))
             for tok in tokens:
                 v = ModuleVector.single(tok)
-                lhs = act_vector(br, v)
-                rhs = act_vector(xv, act_vector(yv, v)) \
-                    - act_vector(yv, act_vector(xv, v)).scale(sign)
+                lhs = g_act(handle, br, v)
+                rhs = g_act(handle, xv, g_act(handle, yv, v)) \
+                    - g_act(handle, yv, g_act(handle, xv, v)).scale(sign)
                 checked += 1
                 if lhs != rhs:
                     violations.append({

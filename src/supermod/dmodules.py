@@ -462,18 +462,29 @@ def spec_from_json(data: dict | str) -> DModule:
     if not isinstance(data, dict):
         raise ValueError("module spec must be a JSON object")
     family = data.get("family")
-    try:
-        if family == "laurent":
-            return LaurentModule(data["alpha"])
-        if family == "omega":
-            return OmegaModule(data["lambda"])
-        if family == "fraction":
-            return FractionModule(data["alphas"], data["betas"])
-        if family == "degree":
-            return DegreeModule(int(data["n"]))
-    except KeyError as exc:
-        raise ValueError(f"module spec is missing the {exc.args[0]!r} field") from None
+    if family == "laurent":
+        return LaurentModule(_spec_field(data, "alpha"))
+    if family == "omega":
+        return OmegaModule(_spec_field(data, "lambda"))
+    if family == "fraction":
+        return FractionModule(_spec_field(data, "alphas", True),
+                              _spec_field(data, "betas", True))
+    if family == "degree":
+        return DegreeModule(int(_spec_field(data, "n")))
     raise ValueError(f"unknown module family: {family!r}")
+
+
+def _spec_field(data: dict, name: str, listed: bool = False):
+    """A spec field: a string or an int, or a JSON list of those when ``listed``."""
+    if name not in data:
+        raise ValueError(f"module spec is missing the {name!r} field")
+    value = data[name]
+    if listed != isinstance(value, list) or any(
+            type(x) not in (str, int) for x in (value if listed else [value])):
+        kind = "a list of strings or integers" if listed else "a string or an integer"
+        raise ValueError(f"module spec field {name!r} must be {kind}, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def _beta_text(beta: Fraction) -> str:

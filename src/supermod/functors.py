@@ -5,8 +5,9 @@ The pipeline has three stages.  ``superize_act`` doubles a catalog module
 the t/D part of a word acts the same on both copies, theta sets the bar
 flag, dtheta clears it.  ``GModuleHandle`` then pulls the superconformal
 action through sigma_b: a generator g acts on v as the operator
-sigma_b(g) applied to v.  Handles carry three independent twists on top of
-the plain action:
+sigma_b(g) applied to v; each handle computes the image of each (generator,
+token) pair once and keeps it.  Handles carry three independent twists on
+top of the plain action:
 
 ``pi``
     the parity flip; token parities are read through
@@ -37,12 +38,12 @@ stay pinned to the construction they summarize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dmodules import BasisToken, DModule, LaurentModule, ModuleVector
 from .liealg import Generator, LieVector, n1_embed
-from .morphisms import VerificationReport, apply_sigma_aut, apply_sigma_b
+from .morphisms import VerificationReport, apply_sigma_aut, apply_sigma_b, delta_terms
 from .scalars import Scalar, scalar
 from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
 
@@ -80,37 +81,11 @@ def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
                 tok = tok.unbarred()
             elif c == CF_N and not tok.bar:
                 continue
-            piece = ModuleVector.single(tok, coeff * tok_coeff)
+            piece = ModuleVector.single(tok, coeff if tok_coeff.is_one else coeff * tok_coeff)
             for _ in range(l):
                 piece = spec.act_D(piece)
             out.add_scaled(spec.act_t(k, piece))
     return out
-
-
-def _half_pullback(gen: Generator) -> list[tuple[Generator, Fraction]]:
-    """A sector-1/2 generator as a combination of sector-0 ones.
-
-    This is the inverse spectral shift with the target sector relabeled,
-    so that acting on a sector-0 module through it realizes the sector-1/2
-    algebra (the composite of the shift with the sector-0 realization).
-    """
-    kind, idx2 = gen
-    if kind == "L":
-        out = [(Generator("L", idx2), Fraction(1)),
-               (Generator("H", idx2), Fraction(-1, 2))]
-        if idx2 == 0:
-            out.append((Generator("C", 0), Fraction(1, 24)))
-        return out
-    if kind == "H":
-        out = [(Generator("H", idx2), Fraction(1))]
-        if idx2 == 0:
-            out.append((Generator("C", 0), Fraction(-1, 6)))
-        return out
-    if kind == "G+":
-        return [(Generator("G+", idx2 - 1), Fraction(1))]
-    if kind == "G-":
-        return [(Generator("G-", idx2 + 1), Fraction(1))]
-    return [(gen, Fraction(1))]
 
 
 @dataclass(frozen=True)
@@ -123,6 +98,9 @@ class GModuleHandle:
     pi: bool = False
     sigma: bool = False
     quotient: bool = False
+    #: (gen, tok) -> image and (gen, None) -> operator, filled by g_act
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", scalar(self.b))
@@ -187,32 +165,51 @@ class GModuleHandle:
         }
 
 
+def _image(handle: GModuleHandle, gen: Generator, tok: BasisToken) -> ModuleVector:
+    """gen . tok, reduced, computed once per handle.
+
+    gen acts as sigma_b of its sigma twist, pulled back along the inverse
+    spectral shift in sector 1/2.
+    """
+    cache = handle._cache
+    image = cache.get((gen, tok))
+    if image is None:
+        op = cache.get((gen, None))
+        if op is None:
+            x = LieVector.basis(gen, handle.sector)
+            if handle.sigma:
+                x = apply_sigma_aut(x)
+            if handle.sector:
+                shifted = LieVector(0)
+                for g, c in x.items():
+                    for target, factor in delta_terms(g, -1):
+                        shifted.add_term(target, c if factor == 1 else c * factor)
+                x = shifted
+            op = cache[gen, None] = apply_sigma_b(x, handle.b)
+        image = handle.reduce(
+            superize_act(handle.module, op, ModuleVector.single(tok)))
+        cache[gen, tok] = image
+    return image
+
+
 def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     """Act by a superconformal vector on a constructed module.
 
-    The central element acts as zero.  Raises ValueError when the vector's
-    sector does not match the handle's.
+    The action is linear in both arguments, so it is summed from the
+    handle's (generator, token) images.  The central element acts as zero.
+    Raises ValueError when the vector's sector does not match the handle's.
     """
     if g.sector != handle.sector:
         raise ValueError(
             f"vector lives in sector {g.sector} but the handle is sector "
             f"{handle.sector}")
-    v = handle.reduce(v)
-    if handle.sigma:
-        g = apply_sigma_aut(g)
-    plan = LieVector(0)
-    for gen, coeff in g.items():
-        if handle.sector:
-            for image, factor in _half_pullback(gen):
-                if image.kind != "C":
-                    plan.add_term(image, coeff * factor)
-        elif gen.kind != "C":
-            plan.add_term(gen, coeff)
     out = ModuleVector.zero()
-    for gen, coeff in sorted(plan.items()):
-        op = apply_sigma_b(LieVector.basis(gen, 0), handle.b)
-        out.add_scaled(superize_act(handle.module, op, v), coeff)
-    return handle.reduce(out)
+    for tok, c in handle.reduce(v).items():
+        for gen, coeff in g.items():
+            if gen.kind != "C":
+                factor = coeff if c.is_one else c if coeff.is_one else coeff * c
+                out.add_scaled(_image(handle, gen, tok), factor)
+    return out
 
 
 # ----------------------------------------------------------------------

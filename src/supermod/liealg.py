@@ -74,15 +74,11 @@ def sector_of(gen: Generator) -> int | None:
     return None
 
 
-_GEN_RE = re.compile(r"(?P<kind>L|H|G[+-]?)\[(?P<idx>-?\d+(?:/\d+)?)\]\Z")
+_GEN_RE = re.compile(r"(?P<kind>L|H|G[+-])\[(?P<idx>-?\d+(?:/\d+)?)\]\Z")
 
 
 def parse_generator(text: str) -> Generator:
-    """Parse "L[2]", "H[-1]", "G+[3/2]", "G-[0]", or "C".
-
-    The bare kind "G" (the N=1 supercurrent) is accepted here; it is only
-    meaningful where an N=1 action is expected.
-    """
+    """Parse "L[2]", "H[-1]", "G+[3/2]", "G-[0]", or "C"."""
     text = text.strip()
     if text == "C":
         return Generator("C", 0)

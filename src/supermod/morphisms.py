@@ -50,6 +50,7 @@ from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement, SuperLaurent
 __all__ = [
     "VerificationReport",
     "apply_delta",
+    "delta_terms",
     "apply_varpi",
     "apply_sigma_b",
     "apply_sigma_aut",
@@ -109,21 +110,25 @@ def apply_delta(x: LieVector, direction: str | None = None) -> LieVector:
     sign = 1 if direction == "half-to-zero" else -1
     out = LieVector(0 if direction == "half-to-zero" else 1)
     for gen, c in x.items():
-        if gen.kind == "L":
-            out.add_term(Generator("L", gen.index2), c)
-            out.add_term(Generator("H", gen.index2), c * Fraction(sign, 2))
-            if gen.index2 == 0:
-                out.add_term(_C, c * Fraction(1, 24))
-        elif gen.kind == "H":
-            out.add_term(Generator("H", gen.index2), c)
-            if gen.index2 == 0:
-                out.add_term(_C, c * Fraction(sign, 6))
-        elif gen.kind == "G+":
-            out.add_term(Generator("G+", gen.index2 + sign), c)
-        elif gen.kind == "G-":
-            out.add_term(Generator("G-", gen.index2 - sign), c)
-        else:
-            out.add_term(_C, c)
+        for image, factor in delta_terms(gen, sign):
+            out.add_term(image, c if factor == 1 else c * factor)
+    return out
+
+
+def delta_terms(gen: Generator, sign: int) -> list[tuple[Generator, Fraction]]:
+    """The shift of one generator, as (generator, factor) pairs.
+
+    ``sign`` is 1 from sector 1/2 to sector 0 and -1 the other way.
+    """
+    kind, idx2 = gen
+    if kind in ("G+", "G-"):
+        shift = sign if kind == "G+" else -sign
+        return [(Generator(kind, idx2 + shift), Fraction(1))]
+    out = [(gen, Fraction(1))]
+    if kind == "L":
+        out.append((Generator("H", idx2), Fraction(sign, 2)))
+    if kind != "C" and idx2 == 0:
+        out.append((_C, Fraction(1, 24) if kind == "L" else Fraction(sign, 6)))
     return out
 
 
@@ -267,10 +272,7 @@ def _check_varpi(window: int) -> VerificationReport:
     for gx in gens:
         for gy in gens:
             checked += 1
-            if gx.kind == "C" or gy.kind == "C":
-                lhs = SDElement.zero()
-            else:
-                lhs = images[gx].supercommutator(images[gy])
+            lhs = images[gx].supercommutator(images[gy])  # C realizes as zero
             rhs = apply_varpi(bracket(LieVector.basis(gx, 0),
                                       LieVector.basis(gy, 0)))
             if lhs != rhs:
@@ -299,10 +301,7 @@ def _check_sigma_b(window: int, b: Scalar) -> VerificationReport:
         # Lie/Lie pairs
         for gy in gens:
             checked += 1
-            if gx.kind == "C" or gy.kind == "C":
-                lhs = SDElement.zero()
-            else:
-                lhs = lie_images[gx].supercommutator(lie_images[gy])
+            lhs = lie_images[gx].supercommutator(lie_images[gy])  # C realizes as zero
             rhs = apply_sigma_b(bracket(x, LieVector.basis(gy, 0)), b)
             if lhs != rhs:
                 violations.append(_pair_violation(gx, gy, lhs, rhs))
@@ -311,20 +310,14 @@ def _check_sigma_b(window: int, b: Scalar) -> VerificationReport:
             checked += 2
             pf = f.parity()
             action = apply_varpi(x).apply(f)  # the semidirect-product bracket
-            if gx.kind == "C":
-                lhs = SDElement.zero()
-            else:
-                lhs = lie_images[gx].supercommutator(apply_sigma_b(f, b))
+            lhs = lie_images[gx].supercommutator(apply_sigma_b(f, b))
             rhs = apply_sigma_b(action, b)
             if lhs != rhs:
                 violations.append({
                     "x": describe(gx), "y": str(f),
                     "lhs": str(lhs), "rhs": str(rhs)})
             # [f, x] = -(-1)^{|f||x|} x.f
-            if gx.kind == "C":
-                lhs = SDElement.zero()
-            else:
-                lhs = apply_sigma_b(f, b).supercommutator(lie_images[gx])
+            lhs = apply_sigma_b(f, b).supercommutator(lie_images[gx])
             sign = -1 if (px and pf) else 1
             rhs = apply_sigma_b(action, b).scale(-sign)
             if lhs != rhs:

@@ -214,8 +214,22 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
     ("action-table", "--module", LAURENT, "--b", "b", "--window", "-1"),
     ("probe", "--module", LAURENT, "--b", "b", "--seed", "t^0",
      "--window", "2,3,4", "--specialize", "a=1/0"),
+    ("act", "--module", LAURENT, "--b", "b", "--generator", "G[1]",
+     "--vector", "t^0"),
+    *(("act", "--module", spec, "--b", "b", "--generator", "L[1]",
+       "--vector", "t^0") for spec in (
+        '{"family":"laurent","alpha":null}',
+        '{"family":"laurent","alpha":1.5}',
+        '{"family":"omega","lambda":true}',
+        '{"family":"degree","n":[2]}',
+        '{"family":"fraction","alphas":5,"betas":["0"]}',
+        '{"family":"fraction","alphas":"ab","betas":["0","1"]}',
+        '{"family":"fraction","alphas":["a",null],"betas":["0","1"]}')),
 ], ids=["algebra-window-0", "morphism-window-negative",
-        "action-table-window-negative", "specialize-zero-denominator"])
+        "action-table-window-negative", "specialize-zero-denominator",
+        "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
+        "spec-lambda-bool", "spec-n-list", "spec-alphas-int",
+        "spec-alphas-string", "spec-alphas-null-entry"])
 def test_bad_inputs_exit_two(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""

@@ -20,6 +20,7 @@ from supermod.functors import (
     superize_act,
 )
 from supermod.liealg import Generator, LieVector, algebra_generators, bracket, parity
+from supermod.morphisms import delta_terms
 from supermod.scalars import Scalar, scalar
 from supermod.weyl import CF_ONE, SDElement
 
@@ -215,6 +216,85 @@ def test_handle_describe_and_specialize():
     assert hs.module.alpha == scalar(Fraction(1, 3))
     assert hs.b == scalar(Fraction(1, 2))
     assert GModuleHandle(LaurentModule(0), 0).tags == ("plain",)
+
+
+# ----------------------------------------------------------------------
+# the per-handle (generator, token) image table
+
+def _spread(make_handle, g, v):
+    """g . v summed from basis generators on single tokens, on a fresh handle."""
+    h = make_handle()
+    out = ModuleVector.zero()
+    for gen_, coeff in g.items():
+        for tok, c in v.items():
+            piece = g_act(h, LieVector.basis(gen_, g.sector), single(tok))
+            out = out + piece.scale(coeff * c)
+    return out
+
+
+@pytest.mark.parametrize("make_handle, g, tokens", [
+    (lambda: GModuleHandle(LaurentModule(-2), 0, quotient=True),
+     LieVector(0, {Generator("L", 2): scalar(3), Generator("G+", -2): A,
+                   Generator("H", 0): scalar(Fraction(-1, 2)),
+                   Generator("C", 0): scalar(5)}),
+     [(1, False), (2, False), (2, True), (-1, True)]),
+    (lambda: GModuleHandle(LaurentModule("a"), B, sector=1, sigma=True),
+     LieVector(1, {Generator("L", 0): scalar(2), Generator("G+", 1): B,
+                   Generator("G-", -1): scalar(Fraction(-1, 3)),
+                   Generator("C", 0): scalar(7)}),
+     [(0, False), (1, True), (-2, False)]),
+], ids=["quotient", "sector-1/2-sigma"])
+def test_g_act_is_the_sum_of_single_token_images(make_handle, g, tokens):
+    h = make_handle()
+    coeffs = [scalar(Fraction(-2, 3)), A + 1, scalar(4), scalar(Fraction(1, 5))]
+    v = ModuleVector.zero()
+    for (n, bar), c in zip(tokens, coeffs):
+        v = v + single(h.module.token(n, bar)).scale(c)
+    got = g_act(h, g, v)
+    assert got == _spread(make_handle, g, v)
+    # a second call is served from the table and agrees
+    assert g_act(h, g, v) == got
+    if h.quotient:
+        assert got.coefficient(h.killed_token).is_zero
+
+
+def test_specialized_handle_does_not_reuse_cached_images():
+    h = GModuleHandle(LaurentModule("a"), B, sector=1)
+    x, v = gen("L", 2, sector=1), single(h.module.token(0))
+    symbolic = g_act(h, x, v)
+    point = {"a": Fraction(1, 3), "b": Fraction(1, 2)}
+    hs = h.specialize(point)
+    fresh = GModuleHandle(LaurentModule(Fraction(1, 3)), Fraction(1, 2), sector=1)
+    assert g_act(hs, x, v) == g_act(fresh, x, v) != symbolic
+    assert g_act(h, x, v) == symbolic
+    # the table is not part of a handle's identity
+    assert h == GModuleHandle(LaurentModule("a"), B, sector=1)
+
+
+def _inverse_shift_table(gen_):
+    """The sector-1/2 pullback, written out generator by generator."""
+    kind, idx2 = gen_
+    if kind == "L":
+        out = [(Generator("L", idx2), Fraction(1)),
+               (Generator("H", idx2), Fraction(-1, 2))]
+        if idx2 == 0:
+            out.append((Generator("C", 0), Fraction(1, 24)))
+        return out
+    if kind == "H":
+        out = [(Generator("H", idx2), Fraction(1))]
+        if idx2 == 0:
+            out.append((Generator("C", 0), Fraction(-1, 6)))
+        return out
+    if kind == "G+":
+        return [(Generator("G+", idx2 - 1), Fraction(1))]
+    if kind == "G-":
+        return [(Generator("G-", idx2 + 1), Fraction(1))]
+    return [(gen_, Fraction(1))]
+
+
+def test_delta_terms_is_the_inverse_shift_table():
+    for gen_ in algebra_generators(1, 3):
+        assert delta_terms(gen_, -1) == _inverse_shift_table(gen_), gen_
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,13 @@ def test_generator_text():
         parse_generator("Q[0]")
 
 
+def test_bare_n1_generator_is_not_an_n2_generator():
+    # the N=1 supercurrent G has no N=2 realization; it must not parse
+    for text in ("G[1]", "G[1/2]", "G[0]"):
+        with pytest.raises(ValueError):
+            parse_generator(text)
+
+
 def test_parse_sector():
     assert parse_sector("0") == 0
     assert parse_sector("1/2") == 1
