@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .scalars import LinComb, Scalar, ScalarParseError, render_linear, scalar
+from .scalars import ONE, LinComb, Scalar, ScalarParseError, render_linear, scalar
 
 __all__ = [
     "FAMILIES",
@@ -110,7 +110,7 @@ class ModuleVector(LinComb):
 
     @staticmethod
     def single(token: BasisToken,
-               coeff: Scalar | int | Fraction = 1) -> "ModuleVector":
+               coeff: Scalar | int | Fraction = ONE) -> "ModuleVector":
         return ModuleVector({token: scalar(coeff)})
 
     def items(self) -> Iterator[tuple[BasisToken, Scalar]]:

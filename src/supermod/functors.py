@@ -81,7 +81,7 @@ def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
                 tok = tok.unbarred()
             elif c == CF_N and not tok.bar:
                 continue
-            piece = ModuleVector.single(tok, coeff if tok_coeff.is_one else coeff * tok_coeff)
+            piece = ModuleVector.single(tok, coeff * tok_coeff)
             for _ in range(l):
                 piece = spec.act_D(piece)
             out.add_scaled(spec.act_t(k, piece))
@@ -183,7 +183,7 @@ def _image(handle: GModuleHandle, gen: Generator, tok: BasisToken) -> ModuleVect
                 shifted = LieVector(0)
                 for g, c in x.items():
                     for target, factor in delta_terms(g, -1):
-                        shifted.add_term(target, c if factor == 1 else c * factor)
+                        shifted.add_term(target, c * factor)
                 x = shifted
             op = cache[gen, None] = apply_sigma_b(x, handle.b)
         image = handle.reduce(
@@ -207,8 +207,7 @@ def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     for tok, c in handle.reduce(v).items():
         for gen, coeff in g.items():
             if gen.kind != "C":
-                factor = coeff if c.is_one else c if coeff.is_one else coeff * c
-                out.add_scaled(_image(handle, gen, tok), factor)
+                out.add_scaled(_image(handle, gen, tok), coeff * c)
     return out
 
 

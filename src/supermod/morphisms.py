@@ -111,7 +111,7 @@ def apply_delta(x: LieVector, direction: str | None = None) -> LieVector:
     out = LieVector(0 if direction == "half-to-zero" else 1)
     for gen, c in x.items():
         for image, factor in delta_terms(gen, sign):
-            out.add_term(image, c if factor == 1 else c * factor)
+            out.add_term(image, c * factor)
     return out
 
 

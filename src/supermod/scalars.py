@@ -2,8 +2,16 @@
 
 Every coefficient in this package is a :class:`Scalar`: a quotient num/den
 of multivariate polynomials with rational coefficients in a finite set of
-named parameters (``alpha``, ``b``, ``lambda_``, ...).  Purely rational
-scalars are the special case of an empty parameter set.
+named parameters (``alpha``, ``b``, ``lambda_``, ...).
+
+A parameter-free value, such as every coefficient of a check at a rational
+point like ``b = 1/3``, is held as one QQ element and computed on in plain
+QQ arithmetic; its ground polynomials are built only if something asks for
+them.  A rational q meets a symbolic num/den in the symbolic value's own
+ring (``num.mul_ground(q)``, ``num + den.mul_ground(q)``), and a product
+with a factor of one or zero returns without arithmetic.  A symbolic value
+that cancels to a rational, such as ``a/a``, stays in polynomial form but
+is equal to, hashes like and prints like the parameter-free value.
 
 The representation is lazy.  Sums and products keep an unreduced num/den
 pair (sparse polynomial arithmetic only, via sympy's polys rings), and the
@@ -101,42 +109,72 @@ def _lift(poly, old_names: tuple[str, ...], new_names: tuple[str, ...]):
     return target.from_dict(data)
 
 
+_QQ = QQ.dtype
+_QQ_ONE = QQ.one
+
+
 def _to_qq(value) -> object:
     """Coerce an int/Fraction/str rational literal to a QQ element."""
-    if isinstance(value, Fraction):
-        return QQ(value.numerator, value.denominator)
     if isinstance(value, int):
-        return QQ(value)
+        return _QQ(value)
+    if isinstance(value, Fraction):
+        return _QQ(value.numerator, value.denominator)
     if isinstance(value, str):
         try:
             frac = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError(f"not a rational literal: {value!r}") from exc
-        return QQ(frac.numerator, frac.denominator)
+        return _QQ(frac.numerator, frac.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational value")
 
 
-class Scalar:
-    """An element of QQ(p1, ..., pk), with lazy fraction normalization."""
+def _rational(q) -> "Scalar":
+    """The parameter-free Scalar holding the QQ element ``q``."""
+    out = object.__new__(Scalar)
+    out._names = ()
+    out._q = q
+    out._n = out._d = out._canon = None
+    return out
 
-    __slots__ = ("_names", "_num", "_den", "_canon")
+
+class Scalar:
+    """An element of QQ(p1, ..., pk), with lazy fraction normalization.
+
+    A parameter-free value has ``_names == ()`` and its QQ element in
+    ``_q``; any other value has ``_q`` None and the polynomials ``_n``/``_d``
+    over the sorted parameter tuple ``_names``.
+    """
+
+    __slots__ = ("_names", "_q", "_n", "_d", "_canon")
 
     def __init__(self, names: tuple[str, ...], num, den, _skip_checks: bool = False):
-        # Internal constructor; use scalar()/Scalar.parameter()/Scalar.parse().
+        # Internal constructor of the polynomial form; use
+        # scalar()/Scalar.parameter()/Scalar.parse().
         if not _skip_checks and not den:
             raise ScalarDivisionError("denominator is identically zero")
         self._names = names
-        self._num = num
-        self._den = den
+        self._q = None
+        self._n = num
+        self._d = den
         self._canon = None
+
+    def _polys(self):
+        """(num, den) as polynomials; a rational builds its ground pair once."""
+        if self._n is None:
+            rng = _get_ring(())
+            self._n, self._d = rng.ground_new(self._q), rng.one
+        return self._n, self._d
+
+    # the pair as attributes, as perfbench's layer tracer reads it
+    _num = property(lambda self: self._polys()[0])
+    _den = property(lambda self: self._polys()[1])
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
     def from_rational(value: int | Fraction | str) -> "Scalar":
-        rng = _get_ring(())
-        return Scalar((), rng.ground_new(_to_qq(value)), rng.one, _skip_checks=True)
+        return _rational(_to_qq(value))
 
     @staticmethod
     def parameter(name: str) -> "Scalar":
@@ -159,14 +197,14 @@ class Scalar:
 
     def _unify(self, other: "Scalar"):
         if self._names == other._names:
-            return self._names, self._num, self._den, other._num, other._den
+            return self._names, self._n, self._d, other._n, other._d
         names = tuple(sorted(set(self._names) | set(other._names)))
         return (
             names,
-            _lift(self._num, self._names, names),
-            _lift(self._den, self._names, names),
-            _lift(other._num, other._names, names),
-            _lift(other._den, other._names, names),
+            _lift(self._n, self._names, names),
+            _lift(self._d, self._names, names),
+            _lift(other._n, other._names, names),
+            _lift(other._d, other._names, names),
         )
 
     @staticmethod
@@ -174,44 +212,102 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar.from_rational(value)
+            return _rational(_to_qq(value))
         if isinstance(value, str):
             return Scalar.parse(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
     # ------------------------------------------------------------------
     # arithmetic
+    #
+    # Each operator first settles the parameter-free cases: two rationals
+    # meet in plain QQ arithmetic, and a rational q meets a polynomial pair
+    # num/den through num.mul_ground(q) or den.mul_ground(q), in the other
+    # operand's own ring.  Only two polynomial operands are unified.
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        names, na, da, nb, db = self._unify(other)
-        if da == db:
-            return Scalar(names, na + nb, da, _skip_checks=True)
-        return Scalar(names, na * db + nb * da, da * db, _skip_checks=True)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+        if self._q is None:
+            if other._q is None:
+                names, na, da, nb, db = self._unify(other)
+                if da == db:
+                    return Scalar(names, na + nb, da, _skip_checks=True)
+                return Scalar(names, na * db + nb * da, da * db, _skip_checks=True)
+            self, other = other, self
+        q = self._q
+        if not q:
+            return other
+        if other._q is not None:
+            return _rational(q + other._q)
+        return Scalar(other._names, other._n + other._d.mul_ground(q), other._d,
+                      _skip_checks=True)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        names, na, da, nb, db = self._unify(other)
-        if da == db:
-            return Scalar(names, na - nb, da, _skip_checks=True)
-        return Scalar(names, na * db - nb * da, da * db, _skip_checks=True)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+        q, r = self._q, other._q
+        if q is None:
+            if r is None:
+                names, na, da, nb, db = self._unify(other)
+                if da == db:
+                    return Scalar(names, na - nb, da, _skip_checks=True)
+                return Scalar(names, na * db - nb * da, da * db, _skip_checks=True)
+            if not r:
+                return self
+            return Scalar(self._names, self._n - self._d.mul_ground(r), self._d,
+                          _skip_checks=True)
+        if r is None:
+            return Scalar(other._names, other._d.mul_ground(q) - other._n, other._d,
+                          _skip_checks=True)
+        return _rational(q - r)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        names, na, da, nb, db = self._unify(other)
-        return Scalar(names, na * nb, da * db, _skip_checks=True)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+        if self._q is None:
+            if other._q is None:
+                names, na, da, nb, db = self._unify(other)
+                return Scalar(names, na * nb, da * db, _skip_checks=True)
+            self, other = other, self
+        q = self._q
+        if q == _QQ_ONE:
+            return other
+        if not q:
+            return ZERO
+        r = other._q
+        if r is None:
+            return Scalar(other._names, other._n.mul_ground(q), other._d,
+                          _skip_checks=True)
+        if r == _QQ_ONE:
+            return self
+        return _rational(q * r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
         if other.is_zero:
             raise ScalarDivisionError("division by zero scalar")
+        q, r = self._q, other._q
+        if r is not None:
+            if q is not None:
+                return _rational(q / r)
+            if r == _QQ_ONE:
+                return self
+            return Scalar(self._names, self._n, self._d.mul_ground(r),
+                          _skip_checks=True)
+        if q is not None:
+            if not q:
+                return ZERO
+            return Scalar(other._names, other._d.mul_ground(q), other._n,
+                          _skip_checks=True)
         names, na, da, nb, db = self._unify(other)
         return Scalar(names, na * db, da * nb, _skip_checks=True)
 
@@ -219,21 +315,23 @@ class Scalar:
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self._names, -self._num, self._den, _skip_checks=True)
+        if self._q is not None:
+            return _rational(-self._q)
+        return Scalar(self._names, -self._n, self._d, _skip_checks=True)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             raise TypeError("scalar exponents must be integers")
         if exponent == 0:
             return ONE
+        if exponent < 0 and self.is_zero:
+            raise ScalarDivisionError("zero scalar raised to a negative power")
+        if self._q is not None:
+            return _rational(self._q ** exponent)
         if exponent < 0:
-            if self.is_zero:
-                raise ScalarDivisionError("zero scalar raised to a negative power")
-            return Scalar(
-                self._names, self._den ** (-exponent), self._num ** (-exponent),
-                _skip_checks=True,
-            )
-        return Scalar(self._names, self._num ** exponent, self._den ** exponent,
+            return Scalar(self._names, self._d ** -exponent, self._n ** -exponent,
+                          _skip_checks=True)
+        return Scalar(self._names, self._n ** exponent, self._d ** exponent,
                       _skip_checks=True)
 
     # ------------------------------------------------------------------
@@ -241,27 +339,38 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return not self._num
+        q = self._q
+        return not self._n if q is None else not q
 
     @property
     def is_one(self) -> bool:
-        return self._num == self._den
+        q = self._q
+        return self._n == self._d if q is None else q == _QQ_ONE
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        _, na, da, nb, db = self._unify(other)
-        if da == db:
-            return na == nb
-        return na * db == nb * da
+        if other.__class__ is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _rational(_to_qq(other))
+        q, r = self._q, other._q
+        if q is None:
+            if r is None:
+                _, na, da, nb, db = self._unify(other)
+                if da == db:
+                    return na == nb
+                return na * db == nb * da
+            return self._n == self._d.mul_ground(r)
+        if r is None:
+            return other._n == other._d.mul_ground(q)
+        return q == r
 
     def __hash__(self) -> int:
         # parameter-free values hash like the int/Fraction they equal
+        if self._q is not None:
+            return hash(self._q)
         names, num, den = self._canonical()
         if not names:
             return hash(self.as_fraction())
@@ -274,7 +383,7 @@ class Scalar:
         """Reduced, content-normalized (names, num, den) with shrunk names."""
         if self._canon is not None:
             return self._canon
-        num, den = self._num, self._den
+        num, den = self._polys()
         names = self._names
         if not num:
             rng = _get_ring(())
@@ -309,6 +418,8 @@ class Scalar:
     @property
     def parameters(self) -> tuple[str, ...]:
         """Sorted names of the parameters this value actually depends on."""
+        if self._q is not None:
+            return ()
         return self._canonical()[0]
 
     @property
@@ -316,13 +427,13 @@ class Scalar:
         return not self.parameters
 
     def as_fraction(self) -> Fraction:
-        names, num, den = self._canonical()
-        if names:
-            raise ScalarError(f"scalar {self} is not a rational number")
-        n = num.LC if num else QQ(0)
-        d = den.LC
-        return Fraction(int(n.numerator), int(n.denominator)) / Fraction(
-            int(d.numerator), int(d.denominator))
+        q = self._q
+        if q is None:
+            names, num, den = self._canonical()
+            if names:
+                raise ScalarError(f"scalar {self} is not a rational number")
+            q = num.LC / den.LC
+        return Fraction(int(q.numerator), int(q.denominator))
 
     # ------------------------------------------------------------------
     # specialization
@@ -333,9 +444,14 @@ class Scalar:
         Names in ``assignments`` that this scalar does not depend on are
         ignored, so one assignment map can be applied across a whole vector
         of coefficients.  Raises :class:`SingularSpecializationError` when
-        the (reduced) denominator vanishes at the assignment.
+        the (reduced) denominator vanishes at the assignment.  A value left
+        with no parameters comes back in the parameter-free form.
         """
+        if self._q is not None:
+            return self
         names, num, den = self._canonical()
+        if not names:
+            return _rational(num.LC / den.LC)
         assign = {}
         for name, value in assignments.items():
             if name in names:
@@ -348,12 +464,19 @@ class Scalar:
         if not new_den:
             raise SingularSpecializationError(
                 f"denominator of {self} vanishes under {dict(assignments)!r}")
+        if not kept:
+            return _rational(new_num.LC / new_den.LC)
         return Scalar(kept, new_num, new_den, _skip_checks=True)
 
     # ------------------------------------------------------------------
     # printing
 
     def render(self) -> str:
+        q = self._q
+        if q is not None:
+            if q.denominator == 1:
+                return str(q.numerator)
+            return f"{q.numerator}/{q.denominator}"
         names, num, den = self._canonical()
         if not num:
             return "0"
@@ -685,11 +808,9 @@ class LinComb:
         factor = scalar(factor)
         if factor.is_zero:
             return self
-        unit = factor.is_one
         terms = self._terms
         for key, coeff in other._terms.items():
-            if not unit:
-                coeff = coeff * factor
+            coeff = coeff * factor
             old = terms.get(key)
             if old is None:
                 terms[key] = coeff

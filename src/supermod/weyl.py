@@ -169,8 +169,7 @@ class SDElement(LinComb):
                 factor = n ** l
                 if factor == 0:
                     continue
-                out.add_term((n + k, new_th),
-                             coeff * fc if factor == 1 else coeff * fc * factor)
+                out.add_term((n + k, new_th), coeff * fc * factor)
         return out
 
     # ------------------------------------------------------------------

@@ -224,3 +224,116 @@ def test_container_key_checks_still_raise():
         laurent - omega
     with pytest.raises(ValueError, match="mixed families"):
         ModuleVector({**dict(laurent.items()), **dict(omega.items())})
+
+
+# ----------------------------------------------------------------------
+# the parameter-free representation
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_exponents = st.integers(min_value=-4, max_value=4)
+_fixed = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _is_plain(x: Scalar) -> bool:
+    """Whether x is held as one QQ element rather than a polynomial pair."""
+    return x._q is not None
+
+
+def _as_polynomial(q: Fraction) -> Scalar:
+    """The rational q in the polynomial form: a symbolic value that cancels."""
+    return (a + q) - a
+
+
+@_fixed
+@given(_rationals, _rationals, _exponents)
+def test_rational_arithmetic_matches_fraction(p, q, k):
+    x, y = scalar(p), scalar(q)
+    results = [(x + y, p + q), (x - y, p - q), (x * y, p * q), (-x, -p)]
+    if q:
+        results.append((x / y, p / q))
+    if p or k >= 0:
+        results.append((x ** k, p ** k))
+    for got, want in results:
+        assert _is_plain(got)
+        assert got.as_fraction() == want
+        assert got.render() == str(want)
+
+
+@_fixed
+@given(_rationals, _rationals)
+def test_rational_equality_and_hash_match_fraction_and_int(p, q):
+    x, y = scalar(p), scalar(q)
+    assert (x == y) == (p == q)
+    assert x == p and hash(x) == hash(p)
+    n = p.numerator
+    assert scalar(n) == n and hash(scalar(n)) == hash(n)
+    assert (x == n) == (p == n)
+    assert {p: "v"}.get(x) == "v"
+
+
+@_fixed
+@given(_rationals)
+def test_rational_render_parse_roundtrip(p):
+    x = Scalar.parse(scalar(p).render())
+    assert _is_plain(x)
+    assert x == p and x.render() == str(p)
+
+
+@_fixed
+@given(_rationals, scalars())
+def test_rational_with_symbolic_matches_parsed_and_polynomial_forms(q, s):
+    r, slow = scalar(q), _as_polynomial(q)
+    cases = [
+        (r * s, s * r, slow * s, f"({q})*({s})"),
+        (r + s, s + r, slow + s, f"({q}) + ({s})"),
+        (r - s, -(s - r), slow - s, f"({q}) - ({s})"),
+    ]
+    if q:
+        cases.append((s / r, s * (1 / r), s / slow, f"({s})/({q})"))
+    if not s.is_zero:
+        cases.append((r / s, r * (1 / s), slow / s, f"({q})/({s})"))
+    for fast, swapped, full, text in cases:
+        parsed = Scalar.parse(text)
+        for got in (fast, swapped):
+            assert got == full and got == parsed
+            assert str(got) == str(full) and hash(got) == hash(full)
+
+
+@_fixed
+@given(_rationals.filter(bool))
+def test_cancelled_symbolic_equals_plain_rational(q):
+    r = scalar(q)
+    for cancelled in (a * q / a, _as_polynomial(q), (q * b + q) * a / (a * b + a)):
+        assert not _is_plain(cancelled)
+        assert cancelled == r and r == cancelled and cancelled == q
+        assert hash(cancelled) == hash(r) == hash(q)
+        assert str(cancelled) == str(r) and cancelled.as_fraction() == q
+        assert cancelled.parameters == () and cancelled.is_rational
+    assert a / a == ONE and hash(a / a) == hash(ONE)
+
+
+@_fixed
+@given(scalars())
+def test_unit_and_zero_shortcuts_match_full_products(s):
+    one, zero = _as_polynomial(Fraction(1)), b - b
+    for got in (s * ONE, ONE * s, s * 1, 1 * s, s / ONE):
+        assert got == s * one and str(got) == str(s * one)
+        assert hash(got) == hash(s * one)
+    for got in (s * ZERO, ZERO * s, s * 0):
+        assert got.is_zero and got == s * zero and hash(got) == hash(ZERO)
+    assert s + ZERO == s and ZERO + s == s and s - ZERO == s
+
+
+@_fixed
+@given(scalars(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_full_specialization_gives_plain_rational(x, q):
+    y = x.specialize({"a": q, "b": q, "alpha": q})
+    assert _is_plain(y)
+    assert y == Scalar.parse(str(y))
+
+
+def test_plain_rational_builds_ground_polynomials_on_demand():
+    x = scalar(Fraction(-3, 4))
+    assert len(x._num) == 1 and len(x._den) == 1
+    assert len(ZERO._num) == 0
+    assert x == Fraction(-3, 4) and x._num.LC / x._den.LC == x._q
