@@ -141,7 +141,7 @@ class _RowSpan:
 
     def _to_row(self, vec: ModuleVector) -> LinComb:
         row = LinComb()
-        for tok, coeff in vec.items():
+        for tok, coeff in vec._terms.items():
             idx = self.index.get(tok)
             if idx is None:
                 raise KeyError(f"token outside the window: {tok}")

@@ -27,6 +27,12 @@ Vectors are finite Scalar-linear combinations of family tokens.  Every
 token carries a ``bar`` flag; the actions here never look at it, so the
 same arithmetic serves the doubled modules built later by the superize
 functor (which is where the flag starts to matter).
+
+Each module object keeps a word table, ``DModule.word(k, l, tok)`` =
+t^k D^l applied to one token: D^l tok is built from D^(l-1) tok, so every
+D-chain runs once per module and token, and the superize functor reads
+every word it applies from there.  The table lives and dies with the
+module; ``specialize`` returns a new module, which starts with an empty one.
 """
 
 from __future__ import annotations
@@ -108,12 +114,23 @@ class ModuleVector(LinComb):
         _check_family(terms or ())
         super().__init__(terms)
 
+    @classmethod
+    def zero(cls) -> "ModuleVector":
+        out = object.__new__(cls)
+        out._terms = {}
+        return out
+
     @staticmethod
     def single(token: BasisToken,
                coeff: Scalar | int | Fraction = ONE) -> "ModuleVector":
-        return ModuleVector({token: scalar(coeff)})
+        coeff = scalar(coeff)
+        out = ModuleVector.zero()
+        if not coeff.is_zero:
+            out._terms[token] = coeff
+        return out
 
     def items(self) -> Iterator[tuple[BasisToken, Scalar]]:
+        """The terms in global token order; internal loops read ``_terms``."""
         return iter(sorted(self._terms.items()))
 
     def support(self) -> list[BasisToken]:
@@ -149,6 +166,8 @@ class DModule:
     """Shared linear plumbing; families fill in the token-level actions."""
 
     family = ""
+    #: (k, l, token) -> t^k D^l applied to the token, filled by ``word``
+    _words: dict | None = None
 
     def _t_token(self, m: int, tok: BasisToken) -> ModuleVector:
         raise NotImplementedError
@@ -159,16 +178,37 @@ class DModule:
     def act_t(self, m: int, vec: ModuleVector) -> ModuleVector:
         """Multiply by t^m, any integer m."""
         out = ModuleVector.zero()
-        for tok, coeff in vec.items():
+        for tok, coeff in vec._terms.items():
             out.add_scaled(self._t_token(m, tok), coeff)
         return out
 
     def act_D(self, vec: ModuleVector) -> ModuleVector:
         """Apply the Euler operator D = t*d/dt."""
         out = ModuleVector.zero()
-        for tok, coeff in vec.items():
+        for tok, coeff in vec._terms.items():
             out.add_scaled(self._d_token(tok), coeff)
         return out
+
+    def word(self, k: int, l: int, tok: BasisToken) -> ModuleVector:
+        """t^k D^l applied to one token, computed once per module.
+
+        D^l tok extends D^(l-1) tok, so each D-chain runs once per token.
+        The table lives on this object: a specialized module is a new
+        object and starts empty.  Callers must not modify the result.
+        """
+        table = self._words
+        if table is None:
+            table = self._words = {}
+        image = table.get((k, l, tok))
+        if image is None:
+            if k:
+                image = self.act_t(k, self.word(0, l, tok))
+            elif l:
+                image = self.act_D(self.word(0, l - 1, tok))
+            else:
+                image = ModuleVector.single(tok)
+            table[k, l, tok] = image
+        return image
 
     def tokens(self, bound: int) -> list[BasisToken]:
         """All unbarred tokens inside the window bound, in global order."""
@@ -350,7 +390,7 @@ class FractionModule(DModule):
     def _ddt(self, vec: ModuleVector) -> ModuleVector:
         """The covariant derivative  f -> f' + f sum_j alphas[j]/(t-beta_j)."""
         out = ModuleVector.zero()
-        for tok, coeff in vec.items():
+        for tok, coeff in vec._terms.items():
             if tok.kind == 0:
                 if tok.i:
                     out.add_term(tok._replace(i=tok.i - 1), coeff * tok.i)
@@ -366,7 +406,7 @@ class FractionModule(DModule):
         step = self._times_t if m >= 0 else (lambda tok: self._times_inv(tok, 0))
         for _ in range(abs(m)):
             out = ModuleVector.zero()
-            for tok, coeff in vec.items():
+            for tok, coeff in vec._terms.items():
                 out.add_scaled(step(tok), coeff)
             vec = out
         return vec
@@ -426,7 +466,7 @@ class DegreeModule(DModule):
 
     def _ddt(self, vec: ModuleVector) -> ModuleVector:
         out = ModuleVector.zero()
-        for tok, coeff in vec.items():
+        for tok, coeff in vec._terms.items():
             if tok.i:
                 out.add_term(tok._replace(i=tok.i - 1), coeff * tok.i)
             if tok.k + 1 < self.n:

@@ -3,11 +3,13 @@
 The pipeline has three stages.  ``superize_act`` doubles a catalog module
 (every token gains a barred copy) and lets a Weyl-superalgebra element act:
 the t/D part of a word acts the same on both copies, theta sets the bar
-flag, dtheta clears it.  ``GModuleHandle`` then pulls the superconformal
-action through sigma_b: a generator g acts on v as the operator
-sigma_b(g) applied to v; each handle computes the image of each (generator,
-token) pair once and keeps it.  Handles carry three independent twists on
-top of the plain action:
+flag, dtheta clears it.  The t^k D^l image of each token comes from the
+module's own word table (:meth:`DModule.word`), so it is computed once per
+module object and shared by every handle built on it.  ``GModuleHandle``
+then pulls the superconformal action through sigma_b: a generator g acts
+on v as the operator sigma_b(g) applied to v; each handle computes the
+image of each (generator, token) pair once and keeps it.  Handles carry
+three independent twists on top of the plain action:
 
 ``pi``
     the parity flip; token parities are read through
@@ -66,11 +68,12 @@ def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
     Each normal-ordered word t^k D^l c acts as:  the Clifford unit c moves
     the bar flag (theta: v -> v-bar, dtheta: v-bar -> v, killing the other
     parity; theta*dtheta keeps barred tokens and kills unbarred ones), then
-    D applies l times, then t^k shifts.
+    t^k D^l acts through the module's word table, which computes each
+    (k, l, token) image once.
     """
     out = ModuleVector.zero()
     for (k, l, c), coeff in x.items():
-        for tok, tok_coeff in v.items():
+        for tok, tok_coeff in v._terms.items():
             if c == CF_THETA:
                 if tok.bar:
                     continue
@@ -81,10 +84,7 @@ def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
                 tok = tok.unbarred()
             elif c == CF_N and not tok.bar:
                 continue
-            piece = ModuleVector.single(tok, coeff * tok_coeff)
-            for _ in range(l):
-                piece = spec.act_D(piece)
-            out.add_scaled(spec.act_t(k, piece))
+            out.add_scaled(spec.word(k, l, tok), coeff * tok_coeff)
     return out
 
 
@@ -204,7 +204,7 @@ def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
             f"vector lives in sector {g.sector} but the handle is sector "
             f"{handle.sector}")
     out = ModuleVector.zero()
-    for tok, c in handle.reduce(v).items():
+    for tok, c in handle.reduce(v)._terms.items():
         for gen, coeff in g.items():
             if gen.kind != "C":
                 out.add_scaled(_image(handle, gen, tok), coeff * c)

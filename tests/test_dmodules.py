@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermod.dmodules import (
+    FAMILIES,
     DegreeModule,
     FractionModule,
     LaurentModule,
@@ -19,7 +20,11 @@ from supermod.dmodules import (
     render_vector,
     spec_from_json,
 )
+from supermod.functors import superize_act
+from supermod.liealg import Generator, LieVector
+from supermod.morphisms import apply_sigma_b
 from supermod.scalars import Scalar, ScalarParseError, scalar
+from supermod.weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
 
 
 def single(tok):
@@ -255,3 +260,110 @@ def test_specialize():
     assert fr.alphas[0] == scalar(2)
     assert fr.alphas[1] == Scalar.parameter("a1")
     assert fr.parameters == ("a1",)
+
+
+# ----------------------------------------------------------------------
+# the per-module word table t^k D^l
+
+THIRD = Fraction(1, 3)
+
+
+def acceptance_specs():
+    return [
+        LaurentModule(THIRD),
+        OmegaModule(2),
+        FractionModule([THIRD, THIRD], [0, 1]),
+        DegreeModule(2),
+    ]
+
+
+_WORD_SPECS = ([(spec, Scalar.parameter("b")) for spec in all_specs()]
+               + [(spec, THIRD) for spec in acceptance_specs()])
+_WORD_IDS = ([f"{spec.family}-symbolic" for spec in all_specs()]
+             + [f"{spec.family}-point" for spec in acceptance_specs()])
+
+
+def _chain(spec, k, l, tok):
+    """t^k D^l on one token, by the module actions alone."""
+    piece = single(tok)
+    for _ in range(l):
+        piece = spec.act_D(piece)
+    return spec.act_t(k, piece)
+
+
+def _superize_by_chains(spec, x, v):
+    """superize_act before the word table: one D-chain per (word, token)."""
+    out = ModuleVector.zero()
+    for (k, l, c), coeff in x.items():
+        for tok, tok_coeff in v.items():
+            if c == CF_THETA:
+                if tok.bar:
+                    continue
+                tok = tok.barred()
+            elif c == CF_DTHETA:
+                if not tok.bar:
+                    continue
+                tok = tok.unbarred()
+            elif c == CF_N and not tok.bar:
+                continue
+            piece = ModuleVector.single(tok, coeff * tok_coeff)
+            for _ in range(l):
+                piece = spec.act_D(piece)
+            out.add_scaled(spec.act_t(k, piece))
+    return out
+
+
+@pytest.mark.parametrize("spec, b", _WORD_SPECS, ids=_WORD_IDS)
+def test_word_table_matches_the_action_chain(spec, b):
+    tokens = spec.tokens(2)
+    for tok in tokens + [t.barred() for t in tokens]:
+        for l in range(4):
+            for k in range(-2, 3):
+                assert spec.word(k, l, tok) == _chain(spec, k, l, tok), (k, l, tok)
+    # served from the table the second time
+    tok = tokens[0]
+    assert spec.word(1, 3, tok) is spec.word(1, 3, tok)
+
+
+@pytest.mark.parametrize("spec, b", _WORD_SPECS, ids=_WORD_IDS)
+def test_superize_act_matches_the_per_word_chains(spec, b):
+    c = Scalar.parameter("c")
+    tokens = spec.tokens(2)
+    v = ModuleVector.zero()
+    for tok, coeff in zip(tokens[:3] + [t.barred() for t in tokens[1:3]],
+                          [c + 1, c * 2, scalar(Fraction(-3, 2)), c - Fraction(1, 2), c * c]):
+        v = v + ModuleVector.single(tok, coeff)
+    ops = [apply_sigma_b(LieVector.basis(Generator(kind, idx2), 0), b)
+           for kind, idx2 in (("L", 2), ("L", -2), ("H", 0), ("G+", 2), ("G-", -2))]
+    ops.append(SDElement.word(-1, 3, CF_ONE, c)
+               + SDElement.word(2, 2, CF_THETA, c + 2)
+               + SDElement.word(1, 1, CF_N, Fraction(-5, 2))
+               + SDElement.word(0, 2, CF_DTHETA, c * 3))
+    for x in ops:
+        assert superize_act(spec, x, v) == _superize_by_chains(spec, x, v)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_word_table_runs_each_d_step_once(family, monkeypatch):
+    spec = next(s for s in all_specs() if s.family == family)
+    calls = []
+    real_act_D = type(spec).act_D
+    monkeypatch.setattr(type(spec), "act_D",
+                        lambda self, vec: calls.append(vec) or real_act_D(self, vec))
+    tokens = spec.tokens(2)
+    for tok in tokens:
+        for l in range(4):
+            for k in range(-2, 3):
+                spec.word(k, l, tok)
+    assert len(calls) == 3 * len(tokens)
+
+
+def test_internal_builders_drop_zeros_and_match_the_checked_constructor():
+    lau = LaurentModule("a")
+    tok = lau.token(1)
+    assert ModuleVector.single(tok, 0).is_zero
+    assert ModuleVector.single(tok, scalar(0))._terms == {}
+    assert ModuleVector.zero() == ModuleVector({})
+    c = Scalar.parse("a + 1")
+    assert ModuleVector.single(tok, c) == ModuleVector({tok: c})
+    assert ModuleVector.single(tok)._terms == {tok: scalar(1)}

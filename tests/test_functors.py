@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from supermod import functors
+from supermod.analysis import Window, module_axiom_check, span_probe
 from supermod.dmodules import (
     DegreeModule,
     FractionModule,
@@ -22,7 +24,7 @@ from supermod.functors import (
 from supermod.liealg import Generator, LieVector, algebra_generators, bracket, parity
 from supermod.morphisms import delta_terms
 from supermod.scalars import Scalar, scalar
-from supermod.weyl import CF_ONE, SDElement
+from supermod.weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
 
 A = Scalar.parameter("a")
 B = Scalar.parameter("b")
@@ -331,3 +333,126 @@ def test_s_act_index_validation():
         s_act(sh, "H", 0, single(sh.g_handle.module.token(0)))
     with pytest.raises(ValueError):
         SModuleHandle(GModuleHandle(LaurentModule("a"), B), 1)
+
+
+# ----------------------------------------------------------------------
+# the per-module word table under superize_act
+
+THIRD = Fraction(1, 3)
+
+
+def _chain(spec, k, l, tok):
+    """t^k D^l on one token, bypassing the word table."""
+    piece = single(tok)
+    for _ in range(l):
+        piece = spec.act_D(piece)
+    return spec.act_t(k, piece)
+
+
+def _table_is_fresh(spec):
+    """Every word-table entry still equals a recomputation."""
+    return all(image == _chain(spec, k, l, tok)
+               for (k, l, tok), image in spec._words.items())
+
+
+def test_specialized_module_and_handle_start_with_their_own_word_table():
+    fr = FractionModule(["a0", "a1"], [0, 1])
+    tok = fr.pole_token(1, 1)
+    symbolic = fr.word(1, 2, tok)
+    fs = fr.specialize({"a0": THIRD, "a1": THIRD})
+    assert fs._words is None
+    got = fs.word(1, 2, tok)
+    assert got == _chain(FractionModule([THIRD, THIRD], [0, 1]), 1, 2, tok) != symbolic
+    assert fr.word(1, 2, tok) is symbolic
+
+    h = GModuleHandle(LaurentModule("a"), B)
+    x, v = gen("G+", 2), single(h.module.token(0))
+    g_act(h, x, v)
+    hs = h.specialize({"a": THIRD, "b": Fraction(1, 2)})
+    assert hs.module is not h.module and hs.module._words is None
+    fresh = GModuleHandle(LaurentModule(THIRD), Fraction(1, 2))
+    assert g_act(hs, x, v) == g_act(fresh, x, v)
+    parent_ids = {id(image) for image in h.module._words.values()}
+    assert parent_ids.isdisjoint(id(image) for image in hs.module._words.values())
+    assert _table_is_fresh(hs.module) and _table_is_fresh(h.module)
+
+
+@pytest.mark.parametrize("make_handle", [
+    lambda: GModuleHandle(LaurentModule("a"), B),
+    lambda: GModuleHandle(OmegaModule(2), THIRD),
+    lambda: GModuleHandle(FractionModule([THIRD, THIRD], [0, 1]), THIRD),
+    lambda: GModuleHandle(DegreeModule(2), THIRD, sector=1),
+], ids=["laurent-symbolic", "omega", "fraction", "degree-1/2"])
+def test_checks_leave_the_word_table_intact(make_handle, monkeypatch):
+    # span_probe acts on its own specialized copy of the handle, so collect
+    # every module whose table superize_act reads
+    used = {}
+    real_superize = functors.superize_act
+
+    def recording(spec, x, v):
+        used[id(spec)] = spec
+        return real_superize(spec, x, v)
+
+    monkeypatch.setattr(functors, "superize_act", recording)
+    h = make_handle()
+    assert module_axiom_check(h, Window(1, 1)).passed
+    report = span_probe(h, single(h.module.tokens(1)[0]), Window(1, 2, 2))
+    assert report.rank > 0
+    assert id(h.module) in used
+    for spec in used.values():
+        assert spec._words and _table_is_fresh(spec)
+
+
+def test_twisted_handles_share_the_word_table(monkeypatch):
+    module = OmegaModule("lam")
+    assert module_axiom_check(GModuleHandle(module, B), Window(1, 1)).passed
+    # the pi twist asks for the very same words: no new D-chain runs
+    chains = []
+    real_act_D = OmegaModule.act_D
+    monkeypatch.setattr(OmegaModule, "act_D",
+                        lambda self, vec: chains.append(vec) or real_act_D(self, vec))
+    pi = GModuleHandle(module, B, pi=True)
+    assert module_axiom_check(pi, Window(1, 1)).passed
+    assert chains == []
+    for twisted in (GModuleHandle(module, B, sigma=True),
+                    GModuleHandle(module, B, sector=1, sigma=True)):
+        assert twisted.module is module
+        report = module_axiom_check(twisted, Window(1, 1))
+        assert report.passed and report.checked
+    assert _table_is_fresh(module)
+
+
+def _landing_bar(c, bar):
+    """The bar flag a Clifford unit sends a token to, None if it kills it."""
+    if c == CF_THETA:
+        return None if bar else True
+    if c == CF_DTHETA:
+        return False if bar else None
+    if c == CF_N:
+        return True if bar else None
+    return bar
+
+
+def test_probe_runs_each_d_chain_step_once(monkeypatch):
+    """act_D runs at most once per distinct (token, D-power) requested."""
+    requested = set()
+    real_superize = functors.superize_act
+
+    def recording(spec, x, v):
+        for (k, l, c), _ in x.items():
+            for tok, _ in v.items():
+                bar = _landing_bar(c, tok.bar)
+                if bar is not None:
+                    requested.update((tok._replace(bar=bar), j) for j in range(1, l + 1))
+        return real_superize(spec, x, v)
+
+    calls = []
+    real_act_D = DegreeModule.act_D
+    monkeypatch.setattr(functors, "superize_act", recording)
+    monkeypatch.setattr(DegreeModule, "act_D",
+                        lambda self, vec: calls.append(vec) or real_act_D(self, vec))
+    module = DegreeModule(2)
+    report = span_probe(GModuleHandle(module, THIRD), single(module.token(0, 0)),
+                        Window(2, 2, 2))
+    assert report.full
+    assert requested and 0 < len(calls) <= len(requested)
