@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, render_vector
 from .functors import GModuleHandle, g_act
-from .liealg import Generator, LieVector, algebra_generators, bracket, parity, render_generator
-from .morphisms import VerificationReport
+from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
+                     parity, render_generator)
 from .scalars import LinComb, ScalarError, scalar
 
 __all__ = [
@@ -184,11 +184,28 @@ def _window_generators(sector: int, bound: int) -> list[tuple[Generator, LieVect
 # ----------------------------------------------------------------------
 # the T and Q operator identities
 
-def _apply_word(handle: GModuleHandle, word: list[Generator],
-                v: ModuleVector) -> ModuleVector:
-    for g in reversed(word):
-        v = g_act(handle, LieVector.basis(g, handle.sector), v)
-    return v
+def _casimir_sum(handle: GModuleHandle, kind: str, k: int, d: int,
+                 v: ModuleVector) -> ModuleVector:
+    """L_{-d} g_{k+d} v + L_d g_{k-d} v - 2 L_0 g_k v, g the generators of a kind."""
+
+    def word(m: int, n: int) -> ModuleVector:
+        inner = g_act(handle, LieVector.basis(Generator(kind, 2 * n), 0), v)
+        return g_act(handle, LieVector.basis(Generator("L", 2 * m), 0), inner)
+
+    return word(-d, k + d) + word(d, k - d) - word(0, k).scale(2)
+
+
+def _identity_report(handle: GModuleHandle, kind: str, index: str, k: int,
+                     d: int, lhs: ModuleVector, u: ModuleVector,
+                     details: dict) -> VerificationReport:
+    """One case: lhs against the reduced barred copy of t^k u, u unbarred."""
+    rhs = handle.reduce(
+        handle.module.act_t(k, u).map_tokens(lambda tok: tok.barred()))
+    report = VerificationReport(kind, details)
+    report.checked += 1
+    if lhs != rhs:
+        report.violations.append({index: k, "d": d, "difference": str(lhs - rhs)})
+    return report
 
 
 def t_operator_check(handle: GModuleHandle, k: int, d: int,
@@ -204,20 +221,10 @@ def t_operator_check(handle: GModuleHandle, k: int, d: int,
     if normalizer.is_zero:
         raise SingularNormalizerError(
             f"b(1-2b) = 0 at b = {handle.b.render()}; the T identity degenerates")
-    L, Gp = (lambda m: Generator("L", 2 * m)), (lambda m: Generator("G+", 2 * m))
-    total = (_apply_word(handle, [L(-d), Gp(k + d)], v)
-             + _apply_word(handle, [L(d), Gp(k - d)], v)
-             - _apply_word(handle, [L(0), Gp(k)], v).scale(2))
-    lhs = total.scale(scalar(Fraction(1, 4 * d * d)) / normalizer)
-    rhs = handle.reduce(
-        handle.module.act_t(k, v).map_tokens(lambda tok: tok.barred()))
-    passed = lhs == rhs
-    violations = []
-    if not passed:
-        violations.append({"k": k, "d": d, "difference": str(lhs - rhs)})
-    return VerificationReport(
-        kind="t-operator", passed=passed, checked=1, violations=violations,
-        details={"k": k, "d": d, "b": handle.b.render()})
+    lhs = _casimir_sum(handle, "G+", k, d, v).scale(
+        scalar(Fraction(1, 4 * d * d)) / normalizer)
+    return _identity_report(handle, "t-operator", "k", k, d, lhs, v,
+                            {"k": k, "d": d, "b": handle.b.render()})
 
 
 def q_operator_check(handle: GModuleHandle, m: int, d: int,
@@ -231,21 +238,9 @@ def q_operator_check(handle: GModuleHandle, m: int, d: int,
         raise ValueError(f"the Q identity needs b = 0, got b = {handle.b.render()}")
     if wbar.is_zero or any(not tok.bar for tok, _ in wbar.items()):
         raise ValueError("the argument must be nonzero with barred support")
-    L = lambda n: Generator("L", 2 * n)
-    total = (_apply_word(handle, [L(-d), L(m + d)], wbar)
-             + _apply_word(handle, [L(d), L(m - d)], wbar)
-             - _apply_word(handle, [L(0), L(m)], wbar).scale(2))
-    lhs = total.scale(Fraction(2, d * d))
+    lhs = _casimir_sum(handle, "L", m, d, wbar).scale(Fraction(2, d * d))
     w = wbar.map_tokens(lambda tok: tok.unbarred())
-    rhs = handle.reduce(
-        handle.module.act_t(m, w).map_tokens(lambda tok: tok.barred()))
-    passed = lhs == rhs
-    violations = []
-    if not passed:
-        violations.append({"m": m, "d": d, "difference": str(lhs - rhs)})
-    return VerificationReport(
-        kind="q-operator", passed=passed, checked=1, violations=violations,
-        details={"m": m, "d": d})
+    return _identity_report(handle, "q-operator", "m", m, d, lhs, w, {"m": m, "d": d})
 
 
 # ----------------------------------------------------------------------
@@ -334,22 +329,19 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
             raise ValueError("subspace generators must be nonzero")
         span.insert(_project(vec, allowed)[0])
     gens = _window_generators(handle.sector, window.gen_bound)
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "submodule", {"window": window.to_json(), "subspaceRank": span.rank})
     for vec in subspace:
         for g, gvec in gens:
             image, _ = _project(g_act(handle, gvec, vec), allowed)
-            checked += 1
+            report.checked += 1
             if not span.contains(image):
-                violations.append({
+                report.violations.append({
                     "generator": render_generator(g),
                     "vector": _vector_text(handle, vec),
                     "escapes": _vector_text(handle, image),
                 })
-    return VerificationReport(
-        kind="submodule", passed=not violations, checked=checked,
-        violations=violations,
-        details={"window": window.to_json(), "subspaceRank": span.rank})
+    return report
 
 
 def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
@@ -375,8 +367,8 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
     window_tokens = set(source.tokens(window.token_bound))
     domain = [tok for tok in mapping if tok in window_tokens]
     gens = _window_generators(source.sector, window.gen_bound)
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "iso-witness", {"window": window.to_json(), "domainSize": len(domain)})
     parity_ok = True
     for tok in sorted(domain):
         v = ModuleVector.single(tok)
@@ -385,10 +377,10 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
             if target.token_parity(img_tok) != source.token_parity(tok):
                 parity_ok = False
         for g, gvec in gens:
-            checked += 1
+            report.checked += 1
             lhs, missing_tok = image(g_act(source, gvec, v))
             if lhs is None:
-                violations.append({
+                report.violations.append({
                     "generator": render_generator(g),
                     "token": render_token(source.module, tok),
                     "undefinedOn": render_token(source.module, missing_tok),
@@ -396,7 +388,7 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
                 continue
             rhs = g_act(target, gvec, mapped)
             if lhs != rhs:
-                violations.append({
+                report.violations.append({
                     "generator": render_generator(g),
                     "token": render_token(source.module, tok),
                     "difference": _vector_text(target, lhs - rhs),
@@ -405,12 +397,8 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
     img_span = _RowSpan(image_tokens)
     injective = all(img_span.insert(mapping[tok]) for tok in sorted(domain))
     if not injective:
-        violations.append({"injectivity": "images are linearly dependent"})
-    report = VerificationReport(
-        kind="iso-witness", passed=not violations, checked=checked,
-        violations=violations,
-        details={"window": window.to_json(), "domainSize": len(domain),
-                 "parityPreserving": parity_ok})
+        report.violations.append({"injectivity": "images are linearly dependent"})
+    report.details["parityPreserving"] = parity_ok
     if not parity_ok:
         report.notes.append(
             "the rule flips parity; source and target match only as "
@@ -475,8 +463,9 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
     tokens = handle.tokens(window.token_bound)
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "module-axiom", {"window": window.to_json(), "sector": sector,
+                         "tags": list(handle.tags)})
     for i, x in enumerate(gens):
         xv = LieVector.basis(x, sector)
         for y in gens[i:]:
@@ -488,15 +477,11 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
                 lhs = g_act(handle, br, v)
                 rhs = g_act(handle, xv, g_act(handle, yv, v)) \
                     - g_act(handle, yv, g_act(handle, xv, v)).scale(sign)
-                checked += 1
+                report.checked += 1
                 if lhs != rhs:
-                    violations.append({
+                    report.violations.append({
                         "pair": [render_generator(x), render_generator(y)],
                         "token": render_token(handle.module, tok),
                         "difference": _vector_text(handle, lhs - rhs),
                     })
-    return VerificationReport(
-        kind="module-axiom", passed=not violations, checked=checked,
-        violations=violations,
-        details={"window": window.to_json(), "sector": sector,
-                 "tags": list(handle.tags)})
+    return report

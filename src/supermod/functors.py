@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dmodules import BasisToken, DModule, LaurentModule, ModuleVector
-from .liealg import Generator, LieVector, n1_embed
-from .morphisms import VerificationReport, apply_sigma_aut, apply_sigma_b, delta_terms
+from .liealg import Generator, LieVector, VerificationReport, n1_embed
+from .morphisms import apply_sigma_aut, apply_sigma_b, delta_terms
 from .scalars import Scalar, scalar
 from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
 
@@ -152,6 +152,9 @@ class GModuleHandle:
         return tuple(sorted(names))
 
     def specialize(self, assignments: dict) -> "GModuleHandle":
+        """The handle at a parameter point; itself, with its tables, when empty."""
+        if not assignments:
+            return self
         return GModuleHandle(self.module.specialize(assignments),
                              self.b.specialize(assignments), self.sector,
                              self.pi, self.sigma, self.quotient)
@@ -273,8 +276,10 @@ def s_act_check(handle: SModuleHandle, gen_bound: int,
                 token_bound: int) -> VerificationReport:
     """Compare the two routes on every window generator and token."""
     diagnostics: list[str] = []
-    checked = 0
-    violations: list[dict] = []
+    report = VerificationReport(
+        "n1-restriction",
+        {"epsilon": "1/2" if handle.epsilon2 else "0",
+         "genBound": gen_bound, "tokenBound": token_bound})
     indices = [("L", 2 * m) for m in range(-gen_bound, gen_bound + 1)]
     indices += [("G", idx2) for idx2 in range(-2 * gen_bound, 2 * gen_bound + 1)
                 if idx2 % 2 == handle.epsilon2]
@@ -283,18 +288,11 @@ def s_act_check(handle: SModuleHandle, gen_bound: int,
         for kind, index2 in indices:
             before = len(diagnostics)
             s_act(handle, kind, index2, v, diagnostics)
-            checked += 1
+            report.checked += 1
             if len(diagnostics) > before:
-                violations.append({
+                report.violations.append({
                     "generator": f"{kind}[{Fraction(index2, 2)}]",
                     "token": str(tok),
                     "note": diagnostics[-1],
                 })
-    return VerificationReport(
-        kind="n1-restriction",
-        passed=not violations,
-        checked=checked,
-        violations=violations,
-        details={"epsilon": "1/2" if handle.epsilon2 else "0",
-                 "genBound": gen_bound, "tokenBound": token_bound},
-    )
+    return report

@@ -17,11 +17,18 @@ The nonzero brackets (L, H even; G+, G- odd; [.,.] the supercommutator):
 
 The N=1 subalgebra is generated by the L_m together with
 G_p = -(G+_p / 2 + G-_p); see :func:`n1_embed`.
+
+:class:`VerificationReport` lives here, the lowest module that checks
+anything; every exact check in the package returns one.  A check builds it
+once from its kind and details, adds one to ``report.checked`` per case
+and appends each failure to ``report.violations``; ``passed`` is derived
+from the violations, so it cannot disagree with them.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,11 +47,42 @@ __all__ = [
     "bracket",
     "jacobi_check",
     "n1_embed",
+    "VerificationReport",
 ]
 
 KINDS = ("L", "H", "G+", "G-", "C")
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 _ODD_KINDS = frozenset({"G+", "G-"})
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of an exhaustive identity check over a finite window."""
+
+    kind: str
+    details: dict = field(default_factory=dict)
+    checked: int = 0
+    violations: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    #: maximum number of violations listed in JSON output
+    MAX_LISTED = 25
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_json(self) -> dict:
+        return {
+            "schema": "1",
+            "kind": self.kind,
+            "passed": self.passed,
+            "checked": self.checked,
+            "violationCount": len(self.violations),
+            "violations": self.violations[: self.MAX_LISTED],
+            "details": self.details,
+            "notes": self.notes,
+        }
 
 
 class Generator(NamedTuple):
@@ -272,17 +310,15 @@ def algebra_generators(sector: int, bound: int,
     return gens
 
 
-def jacobi_check(sector: int, window: int):
+def jacobi_check(sector: int, window: int) -> VerificationReport:
     """Graded Jacobi identity over all generator triples with |index| <= window.
 
-    Returns a VerificationReport; the identity checked is
+    The identity checked is
     (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
     """
-    from .morphisms import VerificationReport
-
     gens = algebra_generators(sector, window)
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "jacobi", {"sector": render_sector(sector), "window": window})
 
     # Work on plain Generator -> Fraction dicts: the structure constants are
     # rational and the triple loop is large enough that Scalar wrapping costs.
@@ -297,7 +333,7 @@ def jacobi_check(sector: int, window: int):
         for y in gens:
             py = parity(y.kind)
             for z in gens:
-                checked += 1
+                report.checked += 1
                 if x.kind == "C" or y.kind == "C" or z.kind == "C":
                     continue  # central: every bracket vanishes
                 pz = parity(z.kind)
@@ -308,19 +344,13 @@ def jacobi_check(sector: int, window: int):
                 if any(acc.values()):
                     value = LieVector(sector, {
                         g: scalar(c) for g, c in acc.items()})
-                    violations.append({
+                    report.violations.append({
                         "x": render_generator(x),
                         "y": render_generator(y),
                         "z": render_generator(z),
                         "value": value.render(),
                     })
-    return VerificationReport(
-        kind="jacobi",
-        passed=not violations,
-        checked=checked,
-        violations=violations,
-        details={"sector": render_sector(sector), "window": window},
-    )
+    return report
 
 
 def _sign(p: int) -> int:

@@ -27,17 +27,21 @@ Four maps are implemented:
     G- -> -G+/2,  C -> C.
 
 :func:`hom_check` verifies each map against the supercommutator on every
-generator pair in an index window and returns a :class:`VerificationReport`.
+generator pair in an index window and returns a
+:class:`~supermod.liealg.VerificationReport` (defined in ``liealg`` and
+importable from here).  The four bracket-compatibility checks share one
+loop, :func:`_bracket_pairs`, which counts each pair on the report and
+records each failing pair as a violation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liealg import (
     Generator,
     LieVector,
+    VerificationReport,
     algebra_generators,
     bracket,
     parity,
@@ -48,7 +52,6 @@ from .scalars import Scalar
 from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement, SuperLaurent
 
 __all__ = [
-    "VerificationReport",
     "apply_delta",
     "delta_terms",
     "apply_varpi",
@@ -57,33 +60,6 @@ __all__ = [
     "hom_check",
     "HOM_CHECK_KINDS",
 ]
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of an exhaustive identity check over a finite window."""
-
-    kind: str
-    passed: bool
-    checked: int
-    violations: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-
-    #: maximum number of violations listed in JSON output
-    MAX_LISTED = 25
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "1",
-            "kind": self.kind,
-            "passed": self.passed,
-            "checked": self.checked,
-            "violationCount": len(self.violations),
-            "violations": self.violations[: self.MAX_LISTED],
-            "details": self.details,
-            "notes": self.notes,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -225,61 +201,57 @@ def hom_check(which: str, window: int, b: Scalar | None = None) -> VerificationR
     raise ValueError(f"unknown map {which!r}; expected one of {HOM_CHECK_KINDS}")
 
 
+def _bracket_pairs(report: VerificationReport, sector: int, xs, ys,
+                   images: dict, realize, op) -> None:
+    """Check op(f(x), f(y)) == f([x, y]) for every x in xs, y in ys.
+
+    ``images`` holds f of each basis generator and ``realize`` is f itself,
+    applied to the bracket; each pair is one case, each mismatch one
+    violation.
+    """
+    for gx in xs:
+        x = LieVector.basis(gx, sector)
+        for gy in ys:
+            report.checked += 1
+            lhs = op(images[gx], images[gy])
+            rhs = realize(bracket(x, LieVector.basis(gy, sector)))
+            if lhs != rhs:
+                report.violations.append(_pair_violation(gx, gy, lhs, rhs))
+
+
 def _check_delta(window: int) -> VerificationReport:
     gens = algebra_generators(1, window)
-    checked = 0
-    violations = []
-    for gx in gens:
-        x = LieVector.basis(gx, 1)
-        dx = apply_delta(x)
-        for gy in gens:
-            y = LieVector.basis(gy, 1)
-            checked += 1
-            lhs = bracket(dx, apply_delta(y))
-            rhs = apply_delta(bracket(x, y))
-            if lhs != rhs:
-                violations.append(_pair_violation(gx, gy, lhs, rhs))
-    return VerificationReport(
-        kind="hom-delta", passed=not violations, checked=checked,
-        violations=violations,
-        details={"window": window, "from": "1/2", "to": "0"})
+    report = VerificationReport(
+        "hom-delta", {"window": window, "from": "1/2", "to": "0"})
+    images = {g: apply_delta(LieVector.basis(g, 1)) for g in gens}
+    _bracket_pairs(report, 1, gens, gens, images, apply_delta, bracket)
+    return report
 
 
 def _check_delta_roundtrip(window: int) -> VerificationReport:
-    checked = 0
-    violations = []
+    report = VerificationReport("hom-delta-roundtrip", {"window": window})
     for sector in (1, 0):
         for gen in algebra_generators(sector, window):
             x = LieVector.basis(gen, sector)
-            checked += 1
+            report.checked += 1
             back = apply_delta(apply_delta(x))
             if back != x:
-                violations.append({
+                report.violations.append({
                     "sector": render_sector(sector),
                     "generator": render_generator(gen),
                     "roundtrip": back.render(),
                 })
-    return VerificationReport(
-        kind="hom-delta-roundtrip", passed=not violations, checked=checked,
-        violations=violations, details={"window": window})
+    return report
 
 
 def _check_varpi(window: int) -> VerificationReport:
     gens = algebra_generators(0, window)
-    checked = 0
-    violations = []
+    report = VerificationReport("hom-varpi", {"window": window, "sector": "0"})
     images = {g: apply_varpi(LieVector.basis(g, 0)) for g in gens}
-    for gx in gens:
-        for gy in gens:
-            checked += 1
-            lhs = images[gx].supercommutator(images[gy])  # C realizes as zero
-            rhs = apply_varpi(bracket(LieVector.basis(gx, 0),
-                                      LieVector.basis(gy, 0)))
-            if lhs != rhs:
-                violations.append(_pair_violation(gx, gy, lhs, rhs))
-    return VerificationReport(
-        kind="hom-varpi", passed=not violations, checked=checked,
-        violations=violations, details={"window": window, "sector": "0"})
+    # C realizes as zero, and supercommutator vanishes on a zero argument
+    _bracket_pairs(report, 0, gens, gens, images, apply_varpi,
+                   SDElement.supercommutator)
+    return report
 
 
 def _check_sigma_b(window: int, b: Scalar) -> VerificationReport:
@@ -288,80 +260,63 @@ def _check_sigma_b(window: int, b: Scalar) -> VerificationReport:
     for k in range(-window, window + 1):
         fns.append(SuperLaurent.monomial(k, 0))
         fns.append(SuperLaurent.monomial(k, 1))
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "hom-sigma-b", {"window": window, "sector": "0", "b": str(b)})
     lie_images = {g: apply_sigma_b(LieVector.basis(g, 0), b) for g in gens}
-
-    def describe(u) -> str:
-        return render_generator(u) if isinstance(u, Generator) else str(u)
-
     for gx in gens:
         x = LieVector.basis(gx, 0)
         px = parity(gx.kind)
-        # Lie/Lie pairs
-        for gy in gens:
-            checked += 1
-            lhs = lie_images[gx].supercommutator(lie_images[gy])  # C realizes as zero
-            rhs = apply_sigma_b(bracket(x, LieVector.basis(gy, 0)), b)
-            if lhs != rhs:
-                violations.append(_pair_violation(gx, gy, lhs, rhs))
+        # Lie/Lie pairs (C realizes as zero)
+        _bracket_pairs(report, 0, [gx], gens, lie_images,
+                       lambda v: apply_sigma_b(v, b), SDElement.supercommutator)
         # Lie/function pairs, both orders
         for f in fns:
-            checked += 2
+            report.checked += 2
             pf = f.parity()
             action = apply_varpi(x).apply(f)  # the semidirect-product bracket
             lhs = lie_images[gx].supercommutator(apply_sigma_b(f, b))
             rhs = apply_sigma_b(action, b)
             if lhs != rhs:
-                violations.append({
-                    "x": describe(gx), "y": str(f),
+                report.violations.append({
+                    "x": render_generator(gx), "y": str(f),
                     "lhs": str(lhs), "rhs": str(rhs)})
             # [f, x] = -(-1)^{|f||x|} x.f
             lhs = apply_sigma_b(f, b).supercommutator(lie_images[gx])
             sign = -1 if (px and pf) else 1
             rhs = apply_sigma_b(action, b).scale(-sign)
             if lhs != rhs:
-                violations.append({
-                    "x": str(f), "y": describe(gx),
+                report.violations.append({
+                    "x": str(f), "y": render_generator(gx),
                     "lhs": str(lhs), "rhs": str(rhs)})
     # function/function pairs supercommute to zero
     for f in fns:
         for g in fns:
-            checked += 1
+            report.checked += 1
             lhs = apply_sigma_b(f, b).supercommutator(apply_sigma_b(g, b))
             if not lhs.is_zero:
-                violations.append({"x": str(f), "y": str(g), "lhs": str(lhs),
-                                   "rhs": "0"})
-    return VerificationReport(
-        kind="hom-sigma-b", passed=not violations, checked=checked,
-        violations=violations,
-        details={"window": window, "sector": "0", "b": str(b)})
+                report.violations.append({"x": str(f), "y": str(g),
+                                          "lhs": str(lhs), "rhs": "0"})
+    return report
 
 
 def _check_sigma_aut(window: int) -> VerificationReport:
-    checked = 0
-    violations = []
+    report = VerificationReport(
+        "hom-sigma-aut", {"window": window, "sectors": ["0", "1/2"]})
     for sector in (0, 1):
         gens = algebra_generators(sector, window)
+        images = {g: apply_sigma_aut(LieVector.basis(g, sector)) for g in gens}
         for gx in gens:
-            x = LieVector.basis(gx, sector)
-            checked += 1
-            if apply_sigma_aut(apply_sigma_aut(x)) != x:
-                violations.append({
+            report.checked += 1
+            twice = apply_sigma_aut(images[gx])
+            if twice != LieVector.basis(gx, sector):
+                report.violations.append({
                     "sector": render_sector(sector),
                     "generator": render_generator(gx),
-                    "value": apply_sigma_aut(apply_sigma_aut(x)).render(),
+                    "value": twice.render(),
                 })
-            for gy in gens:
-                y = LieVector.basis(gy, sector)
-                checked += 1
-                lhs = bracket(apply_sigma_aut(x), apply_sigma_aut(y))
-                rhs = apply_sigma_aut(bracket(x, y))
-                if lhs != rhs:
-                    violations.append(_pair_violation(gx, gy, lhs, rhs))
-    return VerificationReport(
-        kind="hom-sigma-aut", passed=not violations, checked=checked,
-        violations=violations, details={"window": window, "sectors": ["0", "1/2"]})
+            _bracket_pairs(report, sector, [gx], gens, images,
+                           apply_sigma_aut, bracket)
+    return report
 
 
 def _pair_violation(gx: Generator, gy: Generator, lhs, rhs) -> dict:

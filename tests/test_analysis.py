@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermod import analysis
 from supermod.analysis import (
     ReachReport,
     SingularNormalizerError,
@@ -92,6 +93,23 @@ def test_t_operator_fails_on_twisted_action():
     assert not rep.passed and rep.violations
 
 
+def _double_g_act(monkeypatch):
+    original = analysis.g_act
+    monkeypatch.setattr(analysis, "g_act",
+                        lambda handle, g, v: original(handle, g, v).scale(2))
+
+
+def test_t_operator_fails_on_a_perturbed_action(monkeypatch):
+    handle = laurent()
+    v = single(handle.module.token(1))
+    assert t_operator_check(handle, 2, -1, v).passed
+    _double_g_act(monkeypatch)
+    data = t_operator_check(handle, 2, -1, v).to_json()
+    assert not data["passed"] and data["violationCount"] == 1
+    assert set(data["violations"][0]) == {"k", "d", "difference"}
+    assert (data["violations"][0]["k"], data["violations"][0]["d"]) == (2, -1)
+
+
 def test_t_operator_unaffected_by_parity_flip():
     rep = t_operator_check(laurent(pi=True), 2, -1,
                            single(LaurentModule("a").token(1)))
@@ -131,6 +149,17 @@ def test_q_operator_m_zero_is_identity_case():
     handle = laurent("a", 0)
     assert q_operator_check(handle, 0, 1,
                             single(handle.module.token(-1, bar=True))).passed
+
+
+def test_q_operator_fails_on_a_perturbed_action(monkeypatch):
+    handle = laurent("a", 0)
+    wbar = single(handle.module.token(2, bar=True))
+    assert q_operator_check(handle, -1, 2, wbar).passed
+    _double_g_act(monkeypatch)
+    data = q_operator_check(handle, -1, 2, wbar).to_json()
+    assert not data["passed"] and data["violationCount"] == 1
+    assert set(data["violations"][0]) == {"m", "d", "difference"}
+    assert (data["violations"][0]["m"], data["violations"][0]["d"]) == (-1, 2)
 
 
 def test_q_operator_needs_b_zero_and_barred_input():
@@ -195,6 +224,42 @@ def test_probe_symbolic_with_cross_check(monkeypatch):
     assert rep.cross_check_rank == 14
     assert rep.specialization == "symbolic"
     assert rep.notes == ["cross-checked at a=28/31, b=13/31"]
+
+
+def test_probe_notes_a_cross_check_above_the_symbolic_rank(monkeypatch):
+    # an elimination that drops every row with a symbolic coefficient loses
+    # rank symbolically but not at the rational cross-check point
+    original = analysis._RowSpan.insert
+
+    def lossy(self, vec):
+        if all(c.is_rational for _, c in vec.items()):
+            return original(self, vec)
+        return False
+
+    monkeypatch.setattr(analysis._RowSpan, "insert", lossy)
+    monkeypatch.delenv("SUPERMOD_SEED", raising=False)
+    handle = laurent()
+    rep = span_probe(handle, single(handle.module.token(0)), Window(2, 3, 4))
+    assert rep.rank < rep.cross_check_rank == 14
+    assert rep.notes == ["cross-checked at a=28/31, b=13/31",
+                         "cross-check exceeded the symbolic rank; elimination bug"]
+    assert set(rep.to_json()) == set(span_probe(
+        laurent(0, 0), single(handle.module.token(0)), Window(2, 3)).to_json())
+
+
+def test_probe_keeps_the_callers_tables():
+    # without a specialization the probe acts through the caller's handle,
+    # so the images and word-table entries it computes stay with it
+    handle = laurent()
+    assert handle.specialize({}) is handle
+    seed = single(handle.module.token(0))
+    span_probe(handle, seed, Window(1, 1), cross_check=False)
+    images, words = dict(handle._cache), dict(handle.module._words or {})
+    assert images and words
+    span_probe(handle, seed, Window(2, 2), cross_check=False)
+    assert all(handle._cache[key] is image for key, image in images.items())
+    assert all(handle.module._words[key] is w for key, w in words.items())
+    assert len(handle._cache) > len(images)
 
 
 def test_probe_specialization_disables_cross_check():

@@ -4,7 +4,8 @@ Argument vectors come from a small grammar: every subcommand, valid and
 malformed module specs, b texts, generator and vector texts, and windows
 with bounds in -1..2 (generator bounds at most 1 where the check is
 expensive).  Whatever the input, the CLI exits 0, 1 or 2, never lets an
-exception escape, and a report that says it passed has checked something.
+exception escape, and a report that says it passed has checked something
+and, where it counts violations, has none.
 """
 
 import contextlib
@@ -114,3 +115,5 @@ def test_cli_keeps_the_exit_code_contract(argv):
         report = json.loads(out.getvalue())
         if report.get("passed") is True:
             assert report["checked"] >= 1, argv
+        if "violationCount" in report:
+            assert report["passed"] == (report["violationCount"] == 0), argv

@@ -323,6 +323,28 @@ def test_s_act_routes_agree(eps2):
     assert report.checked == (2 * 2 + 1 + 2 * 2 + (1 - eps2)) * len(sh.g_handle.tokens(2))
 
 
+def test_s_act_reports_a_perturbed_closed_form(monkeypatch):
+    original = functors._closed_form
+
+    def perturbed(kind, index2, epsilon2, b):
+        op = original(kind, index2, epsilon2, b)
+        return op + SDElement.word(0, 0, CF_ONE) if kind == "L" and index2 == 2 else op
+
+    monkeypatch.setattr(functors, "_closed_form", perturbed)
+    sh = SModuleHandle(GModuleHandle(LaurentModule("a"), B), 0)
+    notes: list[str] = []
+    v = single(sh.g_handle.module.token(0))
+    assert s_act(sh, "L", 2, v, notes) == g_act(sh.g_handle, gen("L", 2), v)
+    assert notes == ["L[1]: embedding and closed form disagree"]
+    s_act(sh, "L", 4, v, notes)
+    assert len(notes) == 1
+    report = s_act_check(sh, 1, 1)
+    assert not report.passed
+    # L_1 is wrong on every window token, and nothing else is
+    assert len(report.violations) == len(sh.g_handle.tokens(1))
+    assert {v["generator"] for v in report.violations} == {"L[1]"}
+
+
 def test_s_act_index_validation():
     sh = SModuleHandle(GModuleHandle(LaurentModule("a"), B), 0)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermod import morphisms
 from supermod.liealg import LieVector, bracket, generator
 from supermod.morphisms import (
     apply_delta,
@@ -164,3 +165,26 @@ def test_report_json_shape():
     assert set(blob) == {"schema", "kind", "passed", "checked", "violationCount",
                          "violations", "details", "notes"}
     assert blob["violationCount"] == 0
+
+
+@pytest.mark.parametrize("which, name", [
+    ("delta", "apply_delta"),
+    ("varpi", "apply_varpi"),
+    ("sigma-b", "apply_sigma_b"),
+    ("sigma-aut", "apply_sigma_aut"),
+])
+def test_bracket_loop_catches_a_doubled_map(monkeypatch, which, name):
+    # 2f is linear but not bracket-compatible: [2f(x), 2f(y)] = 4 f([x, y])
+    clean = hom_check(which, 1)
+    original = getattr(morphisms, name)
+    monkeypatch.setattr(morphisms, name,
+                        lambda *args: original(*args).scale(2))
+    report = hom_check(which, 1)
+    assert not report.passed
+    assert report.checked == clean.checked
+    # [L_1, L_-1] = 2 L_0 has a nonzero image under every map (sigma-aut
+    # checks it once per sector)
+    hits = [v for v in report.violations if (v.get("x"), v.get("y")) == ("L[1]", "L[-1]")]
+    assert len(hits) == (2 if which == "sigma-aut" else 1)
+    for v in hits:
+        assert set(v) == {"x", "y", "lhs", "rhs"} and v["lhs"] != v["rhs"]
