@@ -32,7 +32,8 @@ Each module object keeps a word table, ``DModule.word(k, l, tok)`` =
 t^k D^l applied to one token: D^l tok is built from D^(l-1) tok, so every
 D-chain runs once per module and token, and the superize functor reads
 every word it applies from there.  The table lives and dies with the
-module; ``specialize`` returns a new module, which starts with an empty one.
+module; ``specialize`` returns a new module, which starts with an empty one,
+and ``widen``, which re-expresses the parameters in a wider ring, empties it.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ class DModule:
     family = ""
     #: (k, l, token) -> t^k D^l applied to the token, filled by ``word``
     _words: dict | None = None
+    #: the parameter Scalars, and the tuple ``widen`` last put them over
+    _params: tuple = ()
+    _ring: tuple[str, ...] = ()
 
     def _t_token(self, m: int, tok: BasisToken) -> ModuleVector:
         raise NotImplementedError
@@ -189,19 +193,31 @@ class DModule:
             out.add_scaled(self._d_token(tok), coeff)
         return out
 
+    def widen(self, names: tuple[str, ...]) -> None:
+        """Re-express the parameters over QQ[names + the current ring], in
+        place: values, ``==`` and ``to_json`` stay, the word table goes."""
+        names = tuple(sorted(set(self._ring).union(names)))
+        if self._params and names != self._ring:
+            self._params = tuple(a.over(names) for a in self._params)
+            self._ring, self._words = names, None
+
     def word(self, k: int, l: int, tok: BasisToken) -> ModuleVector:
         """t^k D^l applied to one token, computed once per module.
 
-        D^l tok extends D^(l-1) tok, so each D-chain runs once per token.
-        The table lives on this object: a specialized module is a new
-        object and starts empty.  Callers must not modify the result.
+        D^l tok extends D^(l-1) tok, so each D-chain runs once per token;
+        no action reads the bar flag, so a barred token re-bars its twin's
+        entry.  The table lives on this object: a specialized module is a
+        new object and starts empty.  Callers must not modify the result.
         """
         table = self._words
         if table is None:
             table = self._words = {}
         image = table.get((k, l, tok))
         if image is None:
-            if k:
+            if tok.bar:
+                twin = self.word(k, l, tok.unbarred())
+                image = twin._like({t.barred(): c for t, c in twin._terms.items()})
+            elif k:
                 image = self.act_t(k, self.word(0, l, tok))
             elif l:
                 image = self.act_D(self.word(0, l - 1, tok))
@@ -216,7 +232,7 @@ class DModule:
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        return ()
+        return tuple(sorted({n for a in self._params for n in a.parameters}))
 
     def specialize(self, assignments: dict) -> "DModule":
         return self
@@ -235,9 +251,10 @@ class LaurentModule(DModule):
     """Tokens t^n (n in Z); t^m shifts the index, D*t^n = (alpha+n) t^n."""
 
     family = "laurent"
+    alpha = property(lambda self: self._params[0])
 
     def __init__(self, alpha: Scalar | int | Fraction | str = 0):
-        self.alpha = Scalar.parse(alpha) if isinstance(alpha, str) else scalar(alpha)
+        self._params = (scalar(alpha),)
 
     def token(self, n: int, bar: bool = False) -> BasisToken:
         return BasisToken("laurent", bar, 0, n, 0)
@@ -250,10 +267,6 @@ class LaurentModule(DModule):
 
     def tokens(self, bound: int) -> list[BasisToken]:
         return [self.token(n) for n in range(-bound, bound + 1)]
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        return self.alpha.parameters
 
     def specialize(self, assignments: dict) -> "LaurentModule":
         return LaurentModule(self.alpha.specialize(assignments))
@@ -272,9 +285,10 @@ class OmegaModule(DModule):
     """Tokens D^n (n >= 0); t^m * D^n = lam^m (D - m)^n, D * D^n = D^{n+1}."""
 
     family = "omega"
+    lam = property(lambda self: self._params[0])
 
     def __init__(self, lam: Scalar | int | Fraction | str):
-        self.lam = Scalar.parse(lam) if isinstance(lam, str) else scalar(lam)
+        self._params = (scalar(lam),)
         if self.lam.is_zero:
             raise ValueError("omega parameter must be invertible (nonzero)")
 
@@ -299,10 +313,6 @@ class OmegaModule(DModule):
     def tokens(self, bound: int) -> list[BasisToken]:
         return [self.token(n) for n in range(bound + 1)]
 
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        return self.lam.parameters
-
     def specialize(self, assignments: dict) -> "OmegaModule":
         return OmegaModule(self.lam.specialize(assignments))
 
@@ -322,12 +332,12 @@ class FractionModule(DModule):
     """
 
     family = "fraction"
+    alphas = property(lambda self: self._params)
 
     def __init__(self,
                  alphas: Iterable[Scalar | int | Fraction | str],
                  betas: Iterable[Fraction | int | str]):
-        self.alphas = tuple(
-            Scalar.parse(a) if isinstance(a, str) else scalar(a) for a in alphas)
+        self._params = tuple(scalar(a) for a in alphas)
         self.betas = tuple(Fraction(b) for b in betas)
         if len(self.alphas) != len(self.betas):
             raise ValueError("alphas and betas must have equal length")
@@ -419,13 +429,6 @@ class FractionModule(DModule):
         for j in range(len(self.betas)):
             out.extend(self.pole_token(j, k) for k in range(1, bound + 1))
         return sorted(out)
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for a in self.alphas:
-            names.update(a.parameters)
-        return tuple(sorted(names))
 
     def specialize(self, assignments: dict) -> "FractionModule":
         return FractionModule(

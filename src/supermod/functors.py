@@ -8,8 +8,10 @@ module's own word table (:meth:`DModule.word`), so it is computed once per
 module object and shared by every handle built on it.  ``GModuleHandle``
 then pulls the superconformal action through sigma_b: a generator g acts
 on v as the operator sigma_b(g) applied to v; each handle computes the
-image of each (generator, token) pair once and keeps it.  Handles carry
-three independent twists on top of the plain action:
+image of each (generator, token) pair once and keeps it, all in one ring:
+the handle widens b and its module to one parameter tuple
+(:meth:`DModule.widen`).  Handles carry three independent twists on top
+of the plain action:
 
 ``pi``
     the parity flip; token parities are read through
@@ -101,6 +103,8 @@ class GModuleHandle:
     #: (gen, tok) -> image and (gen, None) -> operator, filled by g_act
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    #: the sorted names of the module's parameters and b: the handle's ring
+    _names: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", scalar(self.b))
@@ -114,6 +118,11 @@ class GModuleHandle:
                 raise ValueError("the quotient twist needs an integer alpha")
             if self.b != scalar(0):
                 raise ValueError("the quotient twist is only a module at b = 0")
+        # one ring for b, the module's parameters and so every image
+        names = tuple(sorted(set(self.module.parameters) | set(self.b.parameters)))
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "b", self.b.over(names))
+        self.module.widen(names)
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -148,8 +157,7 @@ class GModuleHandle:
         return (1 if tok.bar else 0) ^ (1 if self.pi else 0)
 
     def parameters(self) -> tuple[str, ...]:
-        names = set(self.module.parameters) | set(self.b.parameters)
-        return tuple(sorted(names))
+        return self._names
 
     def specialize(self, assignments: dict) -> "GModuleHandle":
         """The handle at a parameter point; itself, with its tables, when empty."""

@@ -13,6 +13,11 @@ with a factor of one or zero returns without arithmetic.  A symbolic value
 that cancels to a rational, such as ``a/a``, stays in polynomial form but
 is equal to, hashes like and prints like the parameter-free value.
 
+Two symbolic values over different parameter tuples meet in the union
+ring (``_unify``).  A module handle fixes one tuple and re-expresses b and
+its module's parameters over it (``Scalar.over``), so a check lifts only
+where values enter: parsing and specialization.
+
 The representation is lazy.  Sums and products keep an unreduced num/den
 pair (sparse polynomial arithmetic only, via sympy's polys rings), and the
 gcd cancellation needed for a canonical form runs only where canonical data
@@ -76,7 +81,7 @@ class ScalarParseError(ScalarError, ValueError):
 
 
 # One polynomial ring per sorted parameter tuple, shared by every Scalar
-# using that parameter set; sharing makes "same ring" an identity check.
+# over it; a handle keeps all its values over one tuple (``Scalar.over``).
 _RING_CACHE: dict[tuple[str, ...], object] = {}
 
 
@@ -93,24 +98,22 @@ def _get_ring(names: tuple[str, ...]):
 
 
 def _lift(poly, old_names: tuple[str, ...], new_names: tuple[str, ...]):
-    """Re-express ``poly`` from QQ[old_names] inside QQ[new_names]."""
+    """Re-express ``poly`` from QQ[old_names] in QQ[new_names]; names that
+    ``new_names`` lacks must not occur in it."""
     if old_names == new_names:
         return poly
-    target = _get_ring(new_names)
-    pos = {n: i for i, n in enumerate(new_names)}
-    width = len(new_names)
-    data = {}
-    for mon, coeff in poly.terms():
-        new_mon = [0] * width
-        for name, exp in zip(old_names, mon):
-            if exp:
-                new_mon[pos[name]] = exp
-        data[tuple(new_mon)] = coeff
-    return target.from_dict(data)
+    pos = [old_names.index(n) if n in old_names else None for n in new_names]
+    return _get_ring(new_names).from_dict(
+        {tuple(0 if i is None else mon[i] for i in pos): coeff
+         for mon, coeff in poly.terms()})
 
 
 _QQ = QQ.dtype
 _QQ_ONE = QQ.one
+
+
+def _is_one(poly) -> bool:  # sympy's is_one builds the ring's one each time
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == _QQ_ONE
 
 
 def _to_qq(value) -> object:
@@ -192,20 +195,29 @@ class Scalar:
     def parse(text: str) -> "Scalar":
         return _ScalarParser(text).run()
 
+    def over(self, names: tuple[str, ...]) -> "Scalar":
+        """The same value over QQ[names], a sorted tuple of its parameters
+        and more; a parameter-free value, which meets any ring, as is."""
+        if self._q is not None or self._names == names:
+            return self
+        old, num, den = self._names, self._n, self._d
+        if not set(old) <= set(names):
+            old, num, den = self._canonical()
+            if not set(old) <= set(names):
+                raise ScalarError(f"{self} depends on parameters outside {names}")
+        out = Scalar(names, _lift(num, old, names), _lift(den, old, names),
+                     _skip_checks=True)
+        out._canon = self._canon
+        return out
+
     # ------------------------------------------------------------------
     # coercion helpers
 
     def _unify(self, other: "Scalar"):
-        if self._names == other._names:
-            return self._names, self._n, self._d, other._n, other._d
-        names = tuple(sorted(set(self._names) | set(other._names)))
-        return (
-            names,
-            _lift(self._n, self._names, names),
-            _lift(self._d, self._names, names),
-            _lift(other._n, other._names, names),
-            _lift(other._d, other._names, names),
-        )
+        if self._names != other._names:
+            names = tuple(sorted(set(self._names) | set(other._names)))
+            self, other = self.over(names), other.over(names)
+        return self._names, self._n, self._d, other._n, other._d
 
     @staticmethod
     def _coerce(value: ScalarLike) -> "Scalar":
@@ -273,7 +285,9 @@ class Scalar:
         if self._q is None:
             if other._q is None:
                 names, na, da, nb, db = self._unify(other)
-                return Scalar(names, na * nb, da * db, _skip_checks=True)
+                # most symbolic factors are polynomials: skip the unit product
+                den = db if _is_one(da) else da if _is_one(db) else da * db
+                return Scalar(names, na * nb, den, _skip_checks=True)
             self, other = other, self
         q = self._q
         if q == _QQ_ONE:
@@ -409,8 +423,8 @@ class Scalar:
             used.update(i for i, e in enumerate(mon) if e)
         if len(used) < len(names):
             kept = tuple(names[i] for i in sorted(used))
-            num = _project(num, names, kept)
-            den = _project(den, names, kept)
+            num = _lift(num, names, kept)
+            den = _lift(den, names, kept)
             names = kept
         self._canon = (names, num, den)
         return self._canon
@@ -495,16 +509,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()!r})"
-
-
-def _project(poly, names: tuple[str, ...], kept: tuple[str, ...]):
-    """Drop unused generators (all exponents known to be zero)."""
-    idx = [names.index(n) for n in kept]
-    target = _get_ring(kept)
-    data = {}
-    for mon, coeff in poly.terms():
-        data[tuple(mon[i] for i in idx)] = coeff
-    return target.from_dict(data)
 
 
 def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],

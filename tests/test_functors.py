@@ -478,3 +478,82 @@ def test_probe_runs_each_d_chain_step_once(monkeypatch):
                         Window(2, 2, 2))
     assert report.full
     assert requested and 0 < len(calls) <= len(requested)
+
+
+def test_barred_word_reuses_its_unbarred_twin(monkeypatch):
+    module = FractionModule(["a0", "a1"], [0, 1])
+    tok = module.pole_token(1, 1)
+    module.word(-1, 2, tok)
+    calls = []
+    for name in ("act_D", "act_t"):
+        real = getattr(FractionModule, name)
+        monkeypatch.setattr(FractionModule, name,
+                            lambda self, *args, real=real, name=name:
+                            calls.append(name) or real(self, *args))
+    barred = module.word(-1, 2, tok.barred())
+    assert calls == []
+    monkeypatch.undo()
+    want = _chain(module, -1, 2, tok.barred())
+    assert barred == want and barred.parity() == 1
+
+
+# ----------------------------------------------------------------------
+# one parameter ring per handle
+
+SYMBOLIC_FAMILIES = [
+    lambda: LaurentModule("a"),
+    lambda: OmegaModule("lam"),
+    lambda: FractionModule(["a0", "a1"], [0, 1]),
+    lambda: DegreeModule(2),
+]
+SHAPES = [(0, False), (0, True), (1, False), (1, True)]
+
+
+def _stray_rings(handle):
+    """Rings other than the handle's among its images and its module's words."""
+    vectors = list(handle._cache.values()) + list(handle.module._words.values())
+    return {c._names for vec in vectors for c in vec._terms.values()
+            if c._q is None} - {handle.parameters()}
+
+
+@pytest.mark.parametrize("make_module", SYMBOLIC_FAMILIES,
+                         ids=["laurent", "omega", "fraction", "degree"])
+@pytest.mark.parametrize("sector,sigma", SHAPES)
+def test_symbolic_checks_stay_in_the_handle_ring(make_module, sector, sigma):
+    handle = GModuleHandle(make_module(), B, sector=sector, sigma=sigma)
+    assert "b" in handle.parameters() and handle.b._names == handle.parameters()
+    assert module_axiom_check(handle, Window(1, 1)).passed
+    assert handle._cache and _stray_rings(handle) == set()
+
+
+def test_ring_invariant_fails_without_widening(monkeypatch):
+    monkeypatch.setattr(LaurentModule, "widen", lambda self, names: None)
+    handle = GModuleHandle(LaurentModule("a"), B)
+    assert module_axiom_check(handle, Window(1, 1)).passed
+    assert _stray_rings(handle) == {("a",)}
+
+
+def test_widening_keeps_the_module_value_and_drops_a_foreign_table():
+    module = LaurentModule("a")
+    module.word(0, 1, module.token(0))
+    GModuleHandle(module, B)
+    assert module._words is None and module.alpha._names == ("a", "b")
+    assert module == LaurentModule("a") and module.to_json()["alpha"] == "a"
+
+
+def test_partly_specialized_and_further_widened_handles_stay_correct():
+    handle = GModuleHandle(FractionModule(["a0", "a1"], [0, 1]), B)
+    partial = handle.specialize({"a0": THIRD})
+    assert partial.parameters() == ("a1", "b")
+    assert module_axiom_check(partial, Window(1, 1)).passed
+    assert _stray_rings(partial) == set()
+    x = gen("G+", 2)
+    for tok in handle.module.tokens(1):
+        full = g_act(handle, x, single(tok))
+        want = ModuleVector({t: c.specialize({"a0": THIRD}) for t, c in full.items()})
+        assert g_act(partial, x, single(tok)) == want
+    # a second handle with another b widens the shared module further
+    first = GModuleHandle(LaurentModule("a"), B)
+    GModuleHandle(first.module, Scalar.parameter("c"))
+    assert first.module._ring == ("a", "b", "c")
+    assert module_axiom_check(first, Window(1, 1)).passed

@@ -12,6 +12,7 @@ from supermod.scalars import (
     LinComb,
     Scalar,
     ScalarDivisionError,
+    ScalarError,
     ScalarParseError,
     SingularSpecializationError,
     scalar,
@@ -337,3 +338,56 @@ def test_plain_rational_builds_ground_polynomials_on_demand():
     assert len(x._num) == 1 and len(x._den) == 1
     assert len(ZERO._num) == 0
     assert x == Fraction(-3, 4) and x._num.LC / x._den.LC == x._q
+
+
+# ----------------------------------------------------------------------
+# one ring: re-expressing a value over a wider parameter tuple
+
+RING = ("a", "alpha", "b")
+
+
+@st.composite
+def symbolic_quotients(draw):
+    """A symbolic value over RING, with a unit denominator or not."""
+    num, den = draw(scalars()), draw(scalars())
+    value = num / den if draw(st.booleans()) and not den.is_zero else num
+    if _is_plain(value):
+        value = value + a
+    return value.over(RING)
+
+
+@_fixed
+@given(symbolic_quotients(), symbolic_quotients())
+def test_unit_denominator_skip_matches_full_product(x, y):
+    full = Scalar(RING, x._n * y._n, x._d * y._d)
+    got = x * y
+    assert got._names == RING
+    assert got == full and str(got) == str(full) and hash(got) == hash(full)
+
+
+@_fixed
+@given(scalars())
+def test_over_keeps_value_render_and_hash(x):
+    wide = x.over(RING)
+    assert wide == x and str(wide) == str(x) and hash(wide) == hash(x)
+    assert wide.parameters == x.parameters
+    if _is_plain(x):
+        assert wide is x
+    else:
+        assert wide._names == RING
+
+
+def test_over_needs_every_parameter_and_lifts_a_cancelled_ring():
+    with pytest.raises(ScalarError):
+        (a + b).over(("a",))
+    # b - b + a lives in QQ[a, b] but depends on a alone
+    assert (b - b + a).over(("a", "c"))._names == ("a", "c")
+    assert (b - b + a).over(("a", "c")) == a
+
+
+def test_mixed_ring_values_from_the_parser_stay_correct():
+    prod = Scalar.parse("a") * Scalar.parse("b")
+    assert prod._names == ("a", "b")
+    assert prod == Scalar.parse("a*b") and str(prod) == "a*b"
+    assert prod.over(RING) * Scalar.parse("alpha") == Scalar.parse("a*alpha*b")
+    assert (Scalar.parse("1/a") * b).over(RING) == Scalar.parse("b/a")
