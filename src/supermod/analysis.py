@@ -163,17 +163,25 @@ class _RowSpan:
 
 def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector, int]:
     """Drop tokens outside the window, returning the dropped-term count."""
-    kept = {tok: coeff for tok, coeff in vec.items() if tok in allowed}
+    kept = {tok: coeff for tok, coeff in vec._terms.items() if tok in allowed}
     if len(kept) == len(vec):
         return vec, 0
-    return ModuleVector(kept), len(vec) - len(kept)
+    return vec._like(kept), len(vec) - len(kept)
 
 
-def _specialize_vector(vec: ModuleVector, assignments: dict) -> ModuleVector:
-    if not assignments:
-        return vec
-    return ModuleVector(
-        {tok: coeff.specialize(assignments) for tok, coeff in vec.items()})
+def _escaped_terms(handle: GModuleHandle, gen: Generator, vec: ModuleVector,
+                   outside: dict, allowed: set[BasisToken]) -> int:
+    """_project's dropped count for gen . vec (vec reduced), summed by linearity
+    from the out-of-window parts of the handle's images, kept in ``outside``."""
+    out = ModuleVector.zero()
+    for tok, c in vec._terms.items():
+        part = outside.get((gen, tok))
+        if part is None:
+            image = handle.image(gen, tok)
+            part = outside[gen, tok] = image._like(
+                {t: x for t, x in image._terms.items() if t not in allowed})
+        out.add_scaled(part, c)
+    return len(out)
 
 
 def _window_generators(sector: int, bound: int) -> list[tuple[Generator, LieVector]]:
@@ -253,41 +261,46 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
 
     The closure repeats until the span stabilizes inside the token window
     (or fills it); the window's word length is echoed in the report as the
-    requested depth.  ``specialization`` is a parameter assignment applied
-    first (None keeps every parameter symbolic).  When parameters remain,
-    the symbolic rank is cross-checked at seeded random rationals and the
-    result recorded.
+    requested depth.  Once the span fills the window, the rest of that
+    level runs in counting mode: it only counts the terms that leave the
+    window (``projectedTerms``) and eliminates nothing.  ``specialization``
+    is a parameter assignment applied first (None keeps every parameter
+    symbolic).  When parameters remain, the symbolic rank is cross-checked
+    at seeded random rationals and the result recorded.
     """
     assignments = dict(specialization or {})
     handle = handle.specialize(assignments)
-    seed = handle.reduce(_specialize_vector(seed, assignments))
+    if assignments:
+        seed = ModuleVector({t: c.specialize(assignments) for t, c in seed._terms.items()})
+    seed = handle.reduce(seed)
     if seed.is_zero:
         raise ValueError("the seed must be nonzero (after any specialization)")
     tokens = handle.tokens(window.token_bound)
     allowed = set(tokens)
     span = _RowSpan(tokens)
     gens = _window_generators(handle.sector, window.gen_bound)
-    projected = 0
-    start, dropped = _project(seed, allowed)
-    projected += dropped
+    start, projected = _project(seed, allowed)
     frontier = [start] if span.insert(start) else []
+    outside: dict = {}
     while frontier and span.rank < len(tokens):
         new_frontier = []
         for vec in frontier:
-            for _, gvec in gens:
+            for gen, gvec in gens:
+                if span.rank == len(tokens):
+                    projected += _escaped_terms(handle, gen, vec, outside, allowed)
+                    continue
                 image, dropped = _project(g_act(handle, gvec, vec), allowed)
                 projected += dropped
                 if not image.is_zero and span.insert(image):
                     new_frontier.append(image)
         frontier = new_frontier
-    pivot_tokens = {tokens[i] for i in span.pivots}
     missing = [render_token(handle.module, tok)
-               for tok in tokens if tok not in pivot_tokens]
+               for i, tok in enumerate(tokens) if i not in span.pivots]
     spec_used: dict[str, str] | str = (
         {name: str(Fraction(val)) for name, val in sorted(assignments.items())}
         if assignments else "symbolic")
     report = ReachReport(
-        seed=_vector_text(handle, seed), window=window, rank=span.rank,
+        seed=render_vector(handle.module, seed), window=window, rank=span.rank,
         ambient=len(tokens), missing=missing, specialization=spec_used,
         projected=projected)
     remaining = handle.parameters()
@@ -303,10 +316,6 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
             report.notes.append(
                 "cross-check exceeded the symbolic rank; elimination bug")
     return report
-
-
-def _vector_text(handle: GModuleHandle, vec: ModuleVector) -> str:
-    return render_vector(handle.module, vec)
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +347,8 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
             if not span.contains(image):
                 report.violations.append({
                     "generator": render_generator(g),
-                    "vector": _vector_text(handle, vec),
-                    "escapes": _vector_text(handle, image),
+                    "vector": render_vector(handle.module, vec),
+                    "escapes": render_vector(handle.module, image),
                 })
     return report
 
@@ -391,7 +400,7 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
                 report.violations.append({
                     "generator": render_generator(g),
                     "token": render_token(source.module, tok),
-                    "difference": _vector_text(target, lhs - rhs),
+                    "difference": render_vector(target.module, lhs - rhs),
                 })
     image_tokens = sorted({tok for src in domain for tok, _ in mapping[src].items()})
     img_span = _RowSpan(image_tokens)
@@ -482,6 +491,6 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
                     report.violations.append({
                         "pair": [render_generator(x), render_generator(y)],
                         "token": render_token(handle.module, tok),
-                        "difference": _vector_text(handle, lhs - rhs),
+                        "difference": render_vector(handle.module, lhs - rhs),
                     })
     return report

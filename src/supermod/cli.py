@@ -10,6 +10,7 @@ var SUPERMOD_SEED (default 0) fixes the randomized-specialization draws.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -73,13 +74,16 @@ def _parse_assignments(text: str | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for piece in filter(None, (text or "").split(",")):
         name, sep, value = piece.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise UsageError(f"--specialize entries look like name=value, got {piece!r}")
+        if name in out:
+            raise UsageError(f"--specialize names {name} more than once")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise UsageError(
-                f"--specialize value for {name.strip()} is not a rational: {value!r}"
+                f"--specialize value for {name} is not a rational: {value!r}"
             ) from None
     return out
 
@@ -259,6 +263,7 @@ def _add_module_flags(sub, sector_default="0"):
                      help="pass to the quotient by the killed token (b = 0 only)")
 
 
+@functools.cache  # the parser holds configuration only, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supermod",
@@ -339,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -505,16 +505,19 @@ def spec_from_json(data: dict | str) -> DModule:
     if not isinstance(data, dict):
         raise ValueError("module spec must be a JSON object")
     family = data.get("family")
-    if family == "laurent":
-        return LaurentModule(_spec_field(data, "alpha"))
-    if family == "omega":
-        return OmegaModule(_spec_field(data, "lambda"))
-    if family == "fraction":
-        return FractionModule(_spec_field(data, "alphas", True),
-                              _spec_field(data, "betas", True))
-    if family == "degree":
-        return DegreeModule(int(_spec_field(data, "n")))
-    raise ValueError(f"unknown module family: {family!r}")
+    if not isinstance(family, str) or family not in _SPECS:
+        raise ValueError(f"unknown module family: {family!r}")
+    cls, *fields = _SPECS[family]
+    extra = sorted(set(data) - {"family", *fields})
+    if extra:
+        raise ValueError(f"module spec fields unknown to the {family} family: {extra}")
+    return cls(*(_spec_field(data, name, family == "fraction") for name in fields))
+
+
+#: each family's class and its own spec fields, as its to_json writes them
+_SPECS = {"laurent": (LaurentModule, "alpha"), "omega": (OmegaModule, "lambda"),
+          "fraction": (FractionModule, "alphas", "betas"),
+          "degree": (lambda n: DegreeModule(int(n)), "n")}
 
 
 def _spec_field(data: dict, name: str, listed: bool = False):

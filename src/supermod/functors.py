@@ -159,6 +159,10 @@ class GModuleHandle:
     def parameters(self) -> tuple[str, ...]:
         return self._names
 
+    def image(self, gen: Generator, tok: BasisToken) -> ModuleVector:
+        """gen . tok, read from (or added to) the handle's image table."""
+        return _image(self, gen, tok)
+
     def specialize(self, assignments: dict) -> "GModuleHandle":
         """The handle at a parameter point; itself, with its tables, when empty."""
         if not assignments:

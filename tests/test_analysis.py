@@ -26,12 +26,14 @@ from supermod.dmodules import (
     LaurentModule,
     ModuleVector,
     OmegaModule,
+    render_token,
 )
-from supermod.functors import GModuleHandle
+from supermod.functors import GModuleHandle, g_act
 from supermod.scalars import scalar
 
 single = ModuleVector.single
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 
 
 def laurent(alpha="a", b="b", **kw):
@@ -298,6 +300,103 @@ def test_reach_report_json_shape():
     assert set(data) == {"schema", "kind", "seed", "window", "rank", "ambient",
                          "full", "missing", "projectedTerms", "specialization",
                          "crossCheckRank", "notes"}
+
+
+# ----------------------------------------------------------------------
+# counting mode: the closure after full rank only counts projected terms
+
+def _reference_closure(handle, seed, window):
+    """The closure loop without counting mode: every image built and inserted."""
+    tokens = handle.tokens(window.token_bound)
+    allowed = set(tokens)
+    span = analysis._RowSpan(tokens)
+    gens = analysis._window_generators(handle.sector, window.gen_bound)
+
+    def project(vec):
+        kept = {tok: c for tok, c in vec.items() if tok in allowed}
+        return ModuleVector(kept), len(vec) - len(kept)
+
+    start, projected = project(handle.reduce(seed))
+    frontier = [start] if span.insert(start) else []
+    while frontier and span.rank < len(tokens):
+        new_frontier = []
+        for vec in frontier:
+            for _, gvec in gens:
+                image, dropped = project(g_act(handle, gvec, vec))
+                projected += dropped
+                if not image.is_zero and span.insert(image):
+                    new_frontier.append(image)
+        frontier = new_frontier
+    pivots = {tokens[i] for i in span.pivots}
+    missing = [render_token(handle.module, tok) for tok in tokens if tok not in pivots]
+    return span.rank, missing, projected
+
+
+def _counting_cases():
+    """(handle, seeds, window) covering the acceptance point and every twist."""
+    point = [GModuleHandle(LaurentModule(THIRD), THIRD),
+             GModuleHandle(OmegaModule(2), THIRD),
+             GModuleHandle(FractionModule((THIRD, THIRD), (0, 1)), THIRD),
+             GModuleHandle(DegreeModule(2), THIRD)]
+    lau = LaurentModule(0)
+    omega = GModuleHandle(OmegaModule(2), HALF)
+    return [(h, h.tokens(2), Window(2, 2, 2)) for h in point] + [
+        (GModuleHandle(LaurentModule(1), 0, quotient=True), [lau.token(0)], Window(2, 3)),
+        (laurent(THIRD, THIRD, sector=1), [lau.token(0)], Window(2, 3)),
+        (laurent(THIRD, THIRD, sigma=True), [lau.token(1, bar=True)], Window(2, 3)),
+        (laurent(), [lau.token(0)], Window(2, 3)),
+        # the b = 1/2 gap never fills its window
+        (omega, [omega.module.token(0)], Window(2, 4)),
+    ]
+
+
+def _counting_mismatches():
+    """Cases whose probe differs from the reference closure in rank, missing
+    tokens, projected terms or (for a symbolic probe) cross-check rank."""
+    out = []
+    for handle, seeds, window in _counting_cases():
+        for tok in seeds:
+            rep = span_probe(handle, single(tok), window)
+            if (rep.rank, rep.missing, rep.projected) != \
+                    _reference_closure(handle, single(tok), window):
+                out.append((handle.describe(), str(tok)))
+            if handle.parameters():
+                text = rep.notes[0].removeprefix("cross-checked at ")
+                draw = {name: Fraction(value) for name, value in
+                        (pair.split("=") for pair in text.split(", "))}
+                point = handle.specialize(draw)
+                if rep.cross_check_rank != \
+                        _reference_closure(point, single(tok), window)[0]:
+                    out.append((handle.describe(), str(tok), "crossCheckRank"))
+    return out
+
+
+def test_counting_mode_matches_the_full_closure(monkeypatch):
+    monkeypatch.delenv("SUPERMOD_SEED", raising=False)
+    assert _counting_mismatches() == []
+
+
+def test_counting_mode_without_its_count_is_caught(monkeypatch):
+    # the negative control: a counting mode that drops the out-of-window
+    # terms changes projectedTerms, and the comparison above must see it
+    monkeypatch.delenv("SUPERMOD_SEED", raising=False)
+    monkeypatch.setattr(analysis, "_escaped_terms", lambda *args: 0)
+    assert _counting_mismatches()
+
+
+def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
+    inserts = []
+    original = analysis._RowSpan.insert
+
+    def counted(self, vec):
+        inserts.append(self.rank)
+        return original(self, vec)
+
+    monkeypatch.setattr(analysis._RowSpan, "insert", counted)
+    handle = GModuleHandle(LaurentModule(THIRD), THIRD)
+    rep = span_probe(handle, single(handle.module.token(2)), Window(2, 2, 2))
+    assert rep.full and rep.projected > 0
+    assert max(inserts) < rep.ambient
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from supermod.cli import main
+from supermod.cli import build_parser, main
 from supermod.dmodules import parse_token, spec_from_json
 from supermod.scalars import scalar
 
@@ -224,16 +224,58 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
         '{"family":"degree","n":[2]}',
         '{"family":"fraction","alphas":5,"betas":["0"]}',
         '{"family":"fraction","alphas":"ab","betas":["0","1"]}',
-        '{"family":"fraction","alphas":["a",null],"betas":["0","1"]}')),
+        '{"family":"fraction","alphas":["a",null],"betas":["0","1"]}',
+        '{"family":"laurent","alpha":"a","lambda":"2"}')),
+    ("probe", "--module", LAURENT, "--b", "b", "--seed", "t^0",
+     "--window", "2,3,4", "--specialize", "a=1/3,a=2/5"),
 ], ids=["algebra-window-0", "morphism-window-negative",
         "action-table-window-negative", "specialize-zero-denominator",
         "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
         "spec-lambda-bool", "spec-n-list", "spec-alphas-int",
-        "spec-alphas-string", "spec-alphas-null-entry"])
+        "spec-alphas-string", "spec-alphas-null-entry", "spec-extra-field",
+        "specialize-duplicate-name"])
 def test_bad_inputs_exit_two(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_rejected_names_are_named(capsys):
+    _, _, err = run(capsys, "probe", "--module", LAURENT, "--b", "b", "--seed",
+                    "t^0", "--window", "2,3,4", "--specialize", "a=1/3,b=1,a=2/5")
+    assert err == "error: --specialize names a more than once\n"
+    _, _, err = run(capsys, "act", "--module", '{"family":"omega","lambda":"2","n":2}',
+                    "--b", "b", "--generator", "L[1]", "--vector", "D^0")
+    assert err == "error: module spec fields unknown to the omega family: ['n']\n"
+
+
+def test_parser_reuse_matches_a_fresh_parser(capsys):
+    # the parser is built once per process; reusing it must not change any
+    # exit code or output, including after an argparse error or --help
+    sequence = [
+        ("probe", "--module", LAURENT, "--b", "b"),
+        ("verify-algebra", "--help"),
+        ("act", "--module", '{"family":"nope"}', "--b", "b",
+         "--generator", "L[1]", "--vector", "t^0"),
+        ("probe", "--module", OMEGA, "--b", "1/3", "--seed", "D^1~",
+         "--window", "2,2,2"),
+        ("verify-algebra", "--window", "x"),
+        ("probe", "--module", OMEGA, "--b", "1/2", "--seed", "D^0",
+         "--window", "2,4,4"),
+    ]
+
+    def outcomes(fresh: bool):
+        out = []
+        for args in sequence:
+            if fresh:
+                build_parser.cache_clear()
+            out.append(run(capsys, *args))
+        return out
+
+    reused = outcomes(fresh=False)
+    assert [code for code, _, _ in reused] == [2, 0, 2, 0, 2, 1]
+    assert reused == outcomes(fresh=True)
+    assert build_parser() is build_parser()
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

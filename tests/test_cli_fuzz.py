@@ -34,6 +34,7 @@ MALFORMED_SPECS = [
     '{"family":"fraction","alphas":"ab","betas":["0","1"]}',
     '{"family":"omega"}',
     '{"family":"poly"}',
+    '{"family":"laurent","alpha":"a","lambda":"2"}',
     "[1, 2]",
     "not json",
 ]
