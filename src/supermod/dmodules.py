@@ -344,7 +344,8 @@ class FractionModule(DModule):
         if not self.betas or self.betas[0] != 0:
             raise ValueError("the first pole must be 0 (it makes t invertible)")
         if len(set(self.betas)) != len(self.betas):
-            raise ValueError(f"poles must be distinct, got {self.betas}")
+            poles = ", ".join(map(str, self.betas))
+            raise ValueError(f"poles must be distinct, got {poles}")
 
     def pow_token(self, i: int, bar: bool = False) -> BasisToken:
         if i < 0:

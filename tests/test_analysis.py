@@ -27,8 +27,18 @@ from supermod.dmodules import (
     ModuleVector,
     OmegaModule,
     render_token,
+    render_vector,
 )
 from supermod.functors import GModuleHandle, g_act
+from supermod.liealg import (
+    Generator,
+    LieVector,
+    VerificationReport,
+    algebra_generators,
+    bracket,
+    parity,
+    render_generator,
+)
 from supermod.scalars import scalar
 
 single = ModuleVector.single
@@ -493,3 +503,82 @@ def test_module_axioms_hold_on_the_quotient():
     assert rep.passed and rep.checked == 2079
     assert rep.details["tags"] == ["quotient"]
     assert rep.details["sector"] == 0
+
+
+def _axiom_check_through_g_act(handle, window):
+    """The module-axiom suite composed from g_act calls, one vector per side.
+
+    The reference that module_axiom_check's single accumulator must match,
+    checked case and violation alike.
+    """
+    sector = handle.sector
+    gens = algebra_generators(sector, window.gen_bound, include_central=True)
+    report = VerificationReport(
+        "module-axiom", {"window": window.to_json(), "sector": sector,
+                         "tags": list(handle.tags)})
+    for i, x in enumerate(gens):
+        xv = LieVector.basis(x, sector)
+        for y in gens[i:]:
+            yv = LieVector.basis(y, sector)
+            sign = (-1) ** (parity(x.kind) * parity(y.kind))
+            for tok in handle.tokens(window.token_bound):
+                v = single(tok)
+                lhs = g_act(handle, bracket(xv, yv), v)
+                rhs = g_act(handle, xv, g_act(handle, yv, v)) \
+                    - g_act(handle, yv, g_act(handle, xv, v)).scale(sign)
+                report.checked += 1
+                if lhs != rhs:
+                    report.violations.append({
+                        "pair": [render_generator(x), render_generator(y)],
+                        "token": render_token(handle.module, tok),
+                        "difference": render_vector(handle.module, lhs - rhs),
+                    })
+    return report
+
+
+def _perturb(handle):
+    """Double L[1] . tok in the handle's image table, tok the first window
+    token with a nonzero image."""
+    gen = Generator("L", 2)
+    tok = next(tok for tok in handle.tokens(1)
+               if not handle.image(gen, tok).is_zero)
+    handle._cache[gen, tok] = handle.image(gen, tok).scale(2)
+
+
+AXIOM_HANDLES = {
+    "laurent": lambda: laurent(),
+    "laurent-half": lambda: laurent(sector=1),
+    "laurent-sigma": lambda: laurent(sigma=True),
+    "laurent-pi": lambda: laurent(pi=True),
+    "laurent-quotient": lambda: laurent(0, 0, quotient=True),
+    "omega": lambda: GModuleHandle(OmegaModule("l"), "b"),
+    "omega-half": lambda: GModuleHandle(OmegaModule("l"), "b", sector=1),
+    "fraction": lambda: GModuleHandle(FractionModule(("a0", "a1"), (0, 1)), "b"),
+    "degree": lambda: GModuleHandle(DegreeModule(2), "b"),
+}
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("name", list(AXIOM_HANDLES))
+def test_module_axioms_match_the_g_act_composition(name, perturbed):
+    handle = AXIOM_HANDLES[name]()
+    if perturbed:
+        _perturb(handle)
+    window = Window(1, 1)
+    got = module_axiom_check(handle, window).to_json()
+    assert got == _axiom_check_through_g_act(handle, window).to_json()
+    assert got["passed"] is not perturbed
+
+
+def test_module_axioms_fail_on_a_perturbed_image():
+    # negative control: one doubled table entry must fail the suite, and
+    # each violation must name the same difference lhs - rhs as composing
+    # g_act by hand
+    handle = laurent()
+    window = Window(1, 1)
+    assert module_axiom_check(handle, window).passed
+    _perturb(handle)
+    rep = module_axiom_check(handle, window)
+    assert not rep.passed and rep.violations
+    assert all(v["difference"] != "0" for v in rep.violations)
+    assert rep.violations == _axiom_check_through_g_act(handle, window).violations

@@ -208,6 +208,12 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
 # ----------------------------------------------------------------------
 # the exit-code contract: usage errors exit 2 with a diagnostic, no traceback
 
+#: the full diagnostic, where the input's own text must read back plainly
+EXACT_ERRORS = {
+    "spec-repeated-pole": "error: poles must be distinct, got 0, 0\n",
+}
+
+
 @pytest.mark.parametrize("args", [
     ("verify-algebra", "--window", "0"),
     ("verify-morphism", "--map", "varpi", "--window", "-2"),
@@ -225,7 +231,8 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
         '{"family":"fraction","alphas":5,"betas":["0"]}',
         '{"family":"fraction","alphas":"ab","betas":["0","1"]}',
         '{"family":"fraction","alphas":["a",null],"betas":["0","1"]}',
-        '{"family":"laurent","alpha":"a","lambda":"2"}')),
+        '{"family":"laurent","alpha":"a","lambda":"2"}',
+        '{"family":"fraction","alphas":["a","c"],"betas":["0","0"]}')),
     ("probe", "--module", LAURENT, "--b", "b", "--seed", "t^0",
      "--window", "2,3,4", "--specialize", "a=1/3,a=2/5"),
 ], ids=["algebra-window-0", "morphism-window-negative",
@@ -233,11 +240,13 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
         "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
         "spec-lambda-bool", "spec-n-list", "spec-alphas-int",
         "spec-alphas-string", "spec-alphas-null-entry", "spec-extra-field",
-        "specialize-duplicate-name"])
-def test_bad_inputs_exit_two(capsys, args):
+        "spec-repeated-pole", "specialize-duplicate-name"])
+def test_bad_inputs_exit_two(capsys, request, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    expected = EXACT_ERRORS.get(request.node.callspec.id)
+    assert expected is None or err == expected
 
 
 def test_rejected_names_are_named(capsys):
