@@ -29,7 +29,7 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act
 from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
                      parity, render_generator)
-from .scalars import LinComb, ScalarError, scalar
+from .scalars import LinComb, ScalarError, SingularSpecializationError, scalar
 
 __all__ = [
     "Window",
@@ -102,6 +102,10 @@ class ReachReport:
             "crossCheckRank": self.cross_check_rank,
             "notes": self.notes,
         }
+
+
+#: seeded draws a cross-check makes before a pole at every draw propagates
+_CROSS_CHECK_DRAWS = 10
 
 
 def probe_seed() -> int:
@@ -255,8 +259,7 @@ def q_operator_check(handle: GModuleHandle, m: int, d: int,
 # span probes
 
 def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
-               specialization: dict | None = None,
-               cross_check: bool = True) -> ReachReport:
+               specialization: dict | None = None) -> ReachReport:
     """Close a seed under window generator applications and measure rank.
 
     The closure repeats until the span stabilizes inside the token window
@@ -266,7 +269,8 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
     window (``projectedTerms``) and eliminates nothing.  ``specialization``
     is a parameter assignment applied first (None keeps every parameter
     symbolic).  When parameters remain, the symbolic rank is cross-checked
-    at seeded random rationals and the result recorded.
+    at seeded random rationals and the result recorded; a draw on a pole of
+    the module is redrawn, up to ``_CROSS_CHECK_DRAWS`` draws in all.
     """
     assignments = dict(specialization or {})
     handle = handle.specialize(assignments)
@@ -304,10 +308,16 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
         ambient=len(tokens), missing=missing, specialization=spec_used,
         projected=projected)
     remaining = handle.parameters()
-    if cross_check and remaining:
+    if remaining:  # a draw fixes every parameter, so the cross-check stops there
         rng = random.Random(probe_seed())
-        draw = {name: Fraction(rng.randint(1, 30), 31) for name in remaining}
-        cross = span_probe(handle, seed, window, draw, cross_check=False)
+        for attempt in range(1, _CROSS_CHECK_DRAWS + 1):
+            draw = {name: Fraction(rng.randint(1, 30), 31) for name in remaining}
+            try:
+                cross = span_probe(handle, seed, window, draw)
+                break
+            except SingularSpecializationError:
+                if attempt == _CROSS_CHECK_DRAWS:
+                    raise
         report.cross_check_rank = cross.rank
         report.notes.append(
             "cross-checked at " + ", ".join(
@@ -418,7 +428,7 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
 # ----------------------------------------------------------------------
 # witness constructors for the degenerate-b comparisons
 
-def _laurent_witness(alpha, token_bound: int, margin: int, quotient: bool):
+def _laurent_witness(alpha, token_bound: int, quotient: bool):
     """The shared shape of the two degeneration witnesses.
 
     Source: the invariant part of the b = 1/2 module (unbarred tokens, and
@@ -432,7 +442,7 @@ def _laurent_witness(alpha, token_bound: int, margin: int, quotient: bool):
     target = GModuleHandle(LaurentModule(alpha), 0, pi=not quotient,
                            sigma=True, quotient=quotient)
     mapping: dict[BasisToken, ModuleVector] = {}
-    for n in range(-(token_bound + margin), token_bound + margin + 1):
+    for n in range(-2 * token_bound, 2 * token_bound + 1):
         mod = source.module
         mapping[mod.token(n)] = ModuleVector.single(mod.token(n, bar=True))
         weight = alpha + n
@@ -442,20 +452,18 @@ def _laurent_witness(alpha, token_bound: int, margin: int, quotient: bool):
     return source, target, mapping
 
 
-def phi_witness(alpha, token_bound: int, margin: int | None = None):
+def phi_witness(alpha, token_bound: int):
     """Source, target and rule for the b = 1/2 comparison at generic alpha."""
-    return _laurent_witness(alpha, token_bound, margin or token_bound, quotient=False)
+    return _laurent_witness(alpha, token_bound, quotient=False)
 
 
-def psi_witness(token_bound: int, margin: int | None = None):
+def psi_witness(token_bound: int):
     """Source, target and rule for the integer-weight (alpha = 0) comparison."""
-    return _laurent_witness(0, token_bound, margin or token_bound, quotient=True)
+    return _laurent_witness(0, token_bound, quotient=True)
 
 
-def identity_witness(handle: GModuleHandle, token_bound: int,
-                     margin: int | None = None):
-    mapping = {tok: ModuleVector.single(tok)
-               for tok in handle.tokens(token_bound + (margin or token_bound))}
+def identity_witness(handle: GModuleHandle, token_bound: int):
+    mapping = {tok: ModuleVector.single(tok) for tok in handle.tokens(2 * token_bound)}
     return handle, handle, mapping
 
 

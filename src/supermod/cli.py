@@ -252,11 +252,11 @@ def _cmd_check_submodule(args):
 # ----------------------------------------------------------------------
 # parser assembly
 
-def _add_module_flags(sub, sector_default="0"):
+def _add_module_flags(sub):
     sub.add_argument("--module", required=True,
                      help="module spec as JSON, e.g. '{\"family\":\"laurent\",\"alpha\":\"a\"}'")
     sub.add_argument("--b", required=True, help="the twist parameter (scalar text)")
-    sub.add_argument("--sector", default=sector_default, help="0 or 1/2")
+    sub.add_argument("--sector", default="0", help="0 or 1/2")
     sub.add_argument("--pi", action="store_true", help="flip the parity grading")
     sub.add_argument("--sigma", action="store_true", help="twist by the order-2 automorphism")
     sub.add_argument("--quotient", action="store_true",

@@ -326,6 +326,13 @@ class OmegaModule(DModule):
 # ----------------------------------------------------------------------
 # Rational functions with prescribed poles, in the partial-fraction basis
 
+def _pole(value: Fraction | int | str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"the pole {value} has a zero denominator") from None
+
+
 class FractionModule(DModule):
     """Tokens t^i (i >= 0) and (t - beta_j)^{-k} (k >= 1), distinct rational
     poles with beta_0 = 0; d/dt acts covariantly with residues alphas[j].
@@ -338,7 +345,7 @@ class FractionModule(DModule):
                  alphas: Iterable[Scalar | int | Fraction | str],
                  betas: Iterable[Fraction | int | str]):
         self._params = tuple(scalar(a) for a in alphas)
-        self.betas = tuple(Fraction(b) for b in betas)
+        self.betas = tuple(map(_pole, betas))
         if len(self.alphas) != len(self.betas):
             raise ValueError("alphas and betas must have equal length")
         if not self.betas or self.betas[0] != 0:
@@ -581,7 +588,7 @@ def parse_token(spec: DModule, text: str) -> BasisToken:
         return spec.pow_token(int(match.group("i")), bar)
     if match.group("k0") is not None:
         return spec.pole_token(0, int(match.group("k0")), bar)
-    beta = Fraction(match.group("beta"))
+    beta = _pole(match.group("beta"))
     if match.group("sign") == "+":
         beta = -beta
     try:

@@ -29,15 +29,15 @@ Sector-1/2 handles route every generator through the inverse spectral
 shift first (L_m -> L_m - H_m/2, H_m -> H_m, G+-_p -> G+-_{p -+ 1/2}, with
 central corrections that act as zero anyway) and then act as sector 0.
 
-``SModuleHandle`` restricts along the N=1 embedding.  Its :func:`s_act`
-computes the action twice -- through the embedding, and through the closed
+The N=1 restriction acts through the embedding (:func:`s_act`, on any
+handle, eps = sector/2); :func:`s_act_check` compares it with the closed
 forms
 
     L_m . v = -t^m (D + (m - 2 eps) b + ((m + 2 eps)/2) theta dtheta) v
     G_p . v =  t^(p-eps) (theta D + 2 (p-eps) b theta - t^(2 eps) dtheta) v
 
--- returns the first, and records any disagreement, so the closed forms
-stay pinned to the construction they summarize.
+on a window, so the closed forms stay pinned to the construction they
+summarize.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .weyl import CF_DTHETA, CF_N, CF_ONE, CF_THETA, SDElement
 
 __all__ = [
     "GModuleHandle",
-    "SModuleHandle",
     "superize_act",
     "g_act",
     "s_act",
@@ -227,22 +226,7 @@ def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
 
 
 # ----------------------------------------------------------------------
-# the N=1 restriction
-
-@dataclass(frozen=True)
-class SModuleHandle:
-    """A constructed module seen through the N=1 embedding (eps = sector/2)."""
-
-    g_handle: GModuleHandle
-    #: doubled eps: 0 or 1
-    epsilon2: int = 0
-
-    def __post_init__(self):
-        if self.epsilon2 not in (0, 1):
-            raise ValueError(f"epsilon2 must be 0 or 1, got {self.epsilon2}")
-        if self.g_handle.sector != self.epsilon2:
-            raise ValueError("the handle's sector must equal the restriction eps")
-
+# the N=1 restriction (eps = sector/2)
 
 def _closed_form(kind: str, index2: int, epsilon2: int, b: Scalar) -> SDElement:
     """The printed closed form of the restricted action, as an operator."""
@@ -257,54 +241,35 @@ def _closed_form(kind: str, index2: int, epsilon2: int, b: Scalar) -> SDElement:
             + SDElement.word(shift + epsilon2, 0, CF_DTHETA, -1))
 
 
-def s_act(handle: SModuleHandle, kind: str, index2: int, v: ModuleVector,
-          diagnostics: list[str] | None = None) -> ModuleVector:
-    """Act by a restricted generator L_m or G_p (index2 = doubled index).
-
-    The value is computed through the N=1 embedding; the printed closed
-    form is evaluated alongside and any disagreement is appended to
-    ``diagnostics`` (the embedded route still wins).
-    """
-    if kind not in ("L", "G"):
-        raise ValueError(f"restricted generators are L and G, got {kind!r}")
-    if kind == "L" and index2 % 2:
-        raise ValueError("L takes integer indices")
-    if kind == "G" and index2 % 2 != handle.epsilon2:
-        raise ValueError(
-            f"G indices must have parity {handle.epsilon2}/2 mod 1 in this sector")
-    embedded = n1_embed(kind, index2, handle.g_handle.sector)
-    got = g_act(handle.g_handle, embedded, v)
-    printed = superize_act(handle.g_handle.module,
-                           _closed_form(kind, index2, handle.epsilon2,
-                                        handle.g_handle.b), v)
-    if diagnostics is not None and got != printed:
-        label = kind + ("[%d]" % (index2 // 2) if index2 % 2 == 0
-                        else "[%d/2]" % index2)
-        diagnostics.append(f"{label}: embedding and closed form disagree")
-    return got
+def s_act(handle: GModuleHandle, kind: str, index2: int,
+          v: ModuleVector) -> ModuleVector:
+    """Act by a restricted generator L_m or G_p (index2 = doubled index)
+    through the N=1 embedding."""
+    return g_act(handle, n1_embed(kind, index2, handle.sector), v)
 
 
-def s_act_check(handle: SModuleHandle, gen_bound: int,
+def s_act_check(handle: GModuleHandle, gen_bound: int,
                 token_bound: int) -> VerificationReport:
-    """Compare the two routes on every window generator and token."""
-    diagnostics: list[str] = []
+    """Compare the embedded route with the printed closed form on every
+    window generator and token."""
+    eps2 = handle.sector
     report = VerificationReport(
         "n1-restriction",
-        {"epsilon": "1/2" if handle.epsilon2 else "0",
+        {"epsilon": "1/2" if eps2 else "0",
          "genBound": gen_bound, "tokenBound": token_bound})
     indices = [("L", 2 * m) for m in range(-gen_bound, gen_bound + 1)]
     indices += [("G", idx2) for idx2 in range(-2 * gen_bound, 2 * gen_bound + 1)
-                if idx2 % 2 == handle.epsilon2]
-    for tok in handle.g_handle.tokens(token_bound):
+                if idx2 % 2 == eps2]
+    for tok in handle.tokens(token_bound):
         v = ModuleVector.single(tok)
         for kind, index2 in indices:
-            before = len(diagnostics)
-            s_act(handle, kind, index2, v, diagnostics)
+            printed = _closed_form(kind, index2, eps2, handle.b)
             report.checked += 1
-            if len(diagnostics) > before:
+            if s_act(handle, kind, index2, v) != superize_act(handle.module, printed, v):
+                gen = f"{kind}[{Fraction(index2, 2)}]"
                 report.violations.append({
-                    "generator": f"{kind}[{Fraction(index2, 2)}]",
+                    "generator": gen,
                     "token": str(tok),
-                    "note": diagnostics[-1],
+                    "note": f"{gen}: embedding and closed form disagree",
                 })
     return report

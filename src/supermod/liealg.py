@@ -123,8 +123,10 @@ def parse_generator(text: str) -> Generator:
     m = _GEN_RE.match(text)
     if m is None:
         raise ValueError(f"not a generator: {text!r}")
-    idx = Fraction(m.group("idx"))
-    index2 = idx * 2
+    try:
+        index2 = Fraction(m.group("idx")) * 2
+    except ZeroDivisionError:
+        raise ValueError(f"index {m.group('idx')} has a zero denominator in {text!r}") from None
     if index2.denominator != 1:
         raise ValueError(f"index {m.group('idx')} is not a half-integer in {text!r}")
     kind = m.group("kind")

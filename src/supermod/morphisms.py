@@ -68,23 +68,11 @@ __all__ = [
 _C = Generator("C", 0)
 
 
-def apply_delta(x: LieVector, direction: str | None = None) -> LieVector:
-    """Apply the spectral shift, or its inverse, to a vector.
-
-    ``direction`` is "half-to-zero" or "zero-to-half"; when omitted it is
-    inferred from the sector of ``x``.
-    """
-    inferred = "half-to-zero" if x.sector == 1 else "zero-to-half"
-    if direction is None:
-        direction = inferred
-    elif direction not in ("half-to-zero", "zero-to-half"):
-        raise ValueError(f"unknown direction {direction!r}")
-    elif direction != inferred:
-        raise ValueError(
-            f"direction {direction} does not match a sector-"
-            f"{render_sector(x.sector)} argument")
-    sign = 1 if direction == "half-to-zero" else -1
-    out = LieVector(0 if direction == "half-to-zero" else 1)
+def apply_delta(x: LieVector) -> LieVector:
+    """Apply the spectral shift to a sector-1/2 vector, or its inverse to a
+    sector-0 one."""
+    sign = 1 if x.sector == 1 else -1
+    out = LieVector(1 - x.sector)
     for gen, c in x.items():
         for image, factor in delta_terms(gen, sign):
             out.add_term(image, c * factor)

@@ -150,11 +150,9 @@ class Scalar:
 
     __slots__ = ("_names", "_q", "_n", "_d", "_canon")
 
-    def __init__(self, names: tuple[str, ...], num, den, _skip_checks: bool = False):
-        # Internal constructor of the polynomial form; use
+    def __init__(self, names: tuple[str, ...], num, den):
+        # Internal constructor of the polynomial form, den nonzero; use
         # scalar()/Scalar.parameter()/Scalar.parse().
-        if not _skip_checks and not den:
-            raise ScalarDivisionError("denominator is identically zero")
         self._names = names
         self._q = None
         self._n = num
@@ -189,7 +187,7 @@ class Scalar:
             )
         names = (name,)
         rng = _get_ring(names)
-        return Scalar(names, rng.gens[0], rng.one, _skip_checks=True)
+        return Scalar(names, rng.gens[0], rng.one)
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -205,8 +203,7 @@ class Scalar:
             old, num, den = self._canonical()
             if not set(old) <= set(names):
                 raise ScalarError(f"{self} depends on parameters outside {names}")
-        out = Scalar(names, _lift(num, old, names), _lift(den, old, names),
-                     _skip_checks=True)
+        out = Scalar(names, _lift(num, old, names), _lift(den, old, names))
         out._canon = self._canon
         return out
 
@@ -244,16 +241,15 @@ class Scalar:
             if other._q is None:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
-                    return Scalar(names, na + nb, da, _skip_checks=True)
-                return Scalar(names, na * db + nb * da, da * db, _skip_checks=True)
+                    return Scalar(names, na + nb, da)
+                return Scalar(names, na * db + nb * da, da * db)
             self, other = other, self
         q = self._q
         if not q:
             return other
         if other._q is not None:
             return _rational(q + other._q)
-        return Scalar(other._names, other._n + other._d.mul_ground(q), other._d,
-                      _skip_checks=True)
+        return Scalar(other._names, other._n + other._d.mul_ground(q), other._d)
 
     __radd__ = __add__
 
@@ -265,15 +261,13 @@ class Scalar:
             if r is None:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
-                    return Scalar(names, na - nb, da, _skip_checks=True)
-                return Scalar(names, na * db - nb * da, da * db, _skip_checks=True)
+                    return Scalar(names, na - nb, da)
+                return Scalar(names, na * db - nb * da, da * db)
             if not r:
                 return self
-            return Scalar(self._names, self._n - self._d.mul_ground(r), self._d,
-                          _skip_checks=True)
+            return Scalar(self._names, self._n - self._d.mul_ground(r), self._d)
         if r is None:
-            return Scalar(other._names, other._d.mul_ground(q) - other._n, other._d,
-                          _skip_checks=True)
+            return Scalar(other._names, other._d.mul_ground(q) - other._n, other._d)
         return _rational(q - r)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
@@ -287,7 +281,7 @@ class Scalar:
                 names, na, da, nb, db = self._unify(other)
                 # most symbolic factors are polynomials: skip the unit product
                 den = db if _is_one(da) else da if _is_one(db) else da * db
-                return Scalar(names, na * nb, den, _skip_checks=True)
+                return Scalar(names, na * nb, den)
             self, other = other, self
         q = self._q
         if q == _QQ_ONE:
@@ -296,8 +290,7 @@ class Scalar:
             return ZERO
         r = other._q
         if r is None:
-            return Scalar(other._names, other._n.mul_ground(q), other._d,
-                          _skip_checks=True)
+            return Scalar(other._names, other._n.mul_ground(q), other._d)
         if r == _QQ_ONE:
             return self
         return _rational(q * r)
@@ -315,15 +308,13 @@ class Scalar:
                 return _rational(q / r)
             if r == _QQ_ONE:
                 return self
-            return Scalar(self._names, self._n, self._d.mul_ground(r),
-                          _skip_checks=True)
+            return Scalar(self._names, self._n, self._d.mul_ground(r))
         if q is not None:
             if not q:
                 return ZERO
-            return Scalar(other._names, other._d.mul_ground(q), other._n,
-                          _skip_checks=True)
+            return Scalar(other._names, other._d.mul_ground(q), other._n)
         names, na, da, nb, db = self._unify(other)
-        return Scalar(names, na * db, da * nb, _skip_checks=True)
+        return Scalar(names, na * db, da * nb)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other).__truediv__(self)
@@ -331,7 +322,7 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self._q is not None:
             return _rational(-self._q)
-        return Scalar(self._names, -self._n, self._d, _skip_checks=True)
+        return Scalar(self._names, -self._n, self._d)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
@@ -343,10 +334,8 @@ class Scalar:
         if self._q is not None:
             return _rational(self._q ** exponent)
         if exponent < 0:
-            return Scalar(self._names, self._d ** -exponent, self._n ** -exponent,
-                          _skip_checks=True)
-        return Scalar(self._names, self._n ** exponent, self._d ** exponent,
-                      _skip_checks=True)
+            return Scalar(self._names, self._d ** -exponent, self._n ** -exponent)
+        return Scalar(self._names, self._n ** exponent, self._d ** exponent)
 
     # ------------------------------------------------------------------
     # predicates and comparisons
@@ -476,11 +465,12 @@ class Scalar:
         new_num = _evaluate(num, names, assign, kept)
         new_den = _evaluate(den, names, assign, kept)
         if not new_den:
+            point = ", ".join(f"{n}={assign[n]}" for n in names if n in assign)
             raise SingularSpecializationError(
-                f"denominator of {self} vanishes under {dict(assignments)!r}")
+                f"denominator of {self} vanishes under {point}")
         if not kept:
             return _rational(new_num.LC / new_den.LC)
-        return Scalar(kept, new_num, new_den, _skip_checks=True)
+        return Scalar(kept, new_num, new_den)
 
     # ------------------------------------------------------------------
     # printing

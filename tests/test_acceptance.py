@@ -31,7 +31,7 @@ from supermod.dmodules import (
     ModuleVector,
     OmegaModule,
 )
-from supermod.functors import GModuleHandle, SModuleHandle, g_act, s_act_check
+from supermod.functors import GModuleHandle, g_act, s_act_check
 from supermod.liealg import Generator, LieVector, jacobi_check
 from supermod.morphisms import hom_check
 from supermod.scalars import Scalar
@@ -251,7 +251,6 @@ def test_generic_irreducibility_evidence():
 
 def test_n1_restriction_dual_routes():
     for eps2 in (0, 1):
-        handle = SModuleHandle(
-            GModuleHandle(LaurentModule("a"), B, sector=eps2), eps2)
+        handle = GModuleHandle(LaurentModule("a"), B, sector=eps2)
         report = s_act_check(handle, 3, 3)
         assert report.passed and not report.violations, report.violations[:3]

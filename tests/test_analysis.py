@@ -1,6 +1,7 @@
 """Window analysis: span probes, operator identities, submodules, witnesses."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ from supermod.liealg import (
     parity,
     render_generator,
 )
-from supermod.scalars import scalar
+from supermod.scalars import SingularSpecializationError, scalar
 
 single = ModuleVector.single
 HALF = Fraction(1, 2)
@@ -259,16 +260,37 @@ def test_probe_notes_a_cross_check_above_the_symbolic_rank(monkeypatch):
         laurent(0, 0), single(handle.module.token(0)), Window(2, 3)).to_json())
 
 
+def test_probe_cross_check_gives_up_after_a_fixed_number_of_draws(monkeypatch):
+    # every draw lands on the pole a = 28/31 of alpha: the probe draws
+    # _CROSS_CHECK_DRAWS times, then lets the last singularity propagate
+    draws = []
+
+    class OnThePole:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, lo, hi):
+            draws.append((lo, hi))
+            return 28
+
+    monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=OnThePole))
+    handle = laurent("1/(31*a - 28)")
+    with pytest.raises(SingularSpecializationError, match="vanishes under a=28/31"):
+        span_probe(handle, single(handle.module.token(0)), Window(1, 1))
+    # one randint per parameter (a and b) per draw
+    assert len(draws) == 2 * analysis._CROSS_CHECK_DRAWS == 20
+
+
 def test_probe_keeps_the_callers_tables():
     # without a specialization the probe acts through the caller's handle,
     # so the images and word-table entries it computes stay with it
     handle = laurent()
     assert handle.specialize({}) is handle
     seed = single(handle.module.token(0))
-    span_probe(handle, seed, Window(1, 1), cross_check=False)
+    span_probe(handle, seed, Window(1, 1))
     images, words = dict(handle._cache), dict(handle.module._words or {})
     assert images and words
-    span_probe(handle, seed, Window(2, 2), cross_check=False)
+    span_probe(handle, seed, Window(2, 2))
     assert all(handle._cache[key] is image for key, image in images.items())
     assert all(handle.module._words[key] is w for key, w in words.items())
     assert len(handle._cache) > len(images)

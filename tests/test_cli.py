@@ -10,6 +10,7 @@ from supermod.scalars import scalar
 
 LAURENT = '{"family":"laurent","alpha":"a"}'
 OMEGA = '{"family":"omega","lambda":"2"}'
+FRACTION = '{"family":"fraction","alphas":["1/3","1/3"],"betas":["0","1"]}'
 
 
 def run(capsys, *args):
@@ -211,6 +212,10 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
 #: the full diagnostic, where the input's own text must read back plainly
 EXACT_ERRORS = {
     "spec-repeated-pole": "error: poles must be distinct, got 0, 0\n",
+    "generator-zero-denominator":
+        "error: index 1/0 has a zero denominator in 'L[1/0]'\n",
+    "vector-zero-denominator": "error: the pole 1/0 has a zero denominator\n",
+    "spec-pole-zero-denominator": "error: the pole 1/0 has a zero denominator\n",
 }
 
 
@@ -235,18 +240,48 @@ EXACT_ERRORS = {
         '{"family":"fraction","alphas":["a","c"],"betas":["0","0"]}')),
     ("probe", "--module", LAURENT, "--b", "b", "--seed", "t^0",
      "--window", "2,3,4", "--specialize", "a=1/3,a=2/5"),
+    ("act", "--module", LAURENT, "--b", "b", "--generator", "L[1/0]",
+     "--vector", "t^0"),
+    ("act", "--module", FRACTION, "--b", "b", "--generator", "L[1]",
+     "--vector", "(t-1/0)^-1"),
+    ("act", "--module", '{"family":"fraction","alphas":["a","c"],"betas":["0","1/0"]}',
+     "--b", "b", "--generator", "L[1]", "--vector", "t^0"),
 ], ids=["algebra-window-0", "morphism-window-negative",
         "action-table-window-negative", "specialize-zero-denominator",
         "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
         "spec-lambda-bool", "spec-n-list", "spec-alphas-int",
         "spec-alphas-string", "spec-alphas-null-entry", "spec-extra-field",
-        "spec-repeated-pole", "specialize-duplicate-name"])
+        "spec-repeated-pole", "specialize-duplicate-name",
+        "generator-zero-denominator", "vector-zero-denominator",
+        "spec-pole-zero-denominator"])
 def test_bad_inputs_exit_two(capsys, request, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     expected = EXACT_ERRORS.get(request.node.callspec.id)
     assert expected is None or err == expected
+
+
+#: alpha has a pole at a = 28/31, where the seed-0 cross-check first draws
+POLE_AT_DRAW = '{"family":"laurent","alpha":"1/(31*a - 28)"}'
+
+
+def test_probe_redraws_a_cross_check_point_on_a_pole(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERMOD_SEED", "0")
+    code, out, _ = run(capsys, "probe", "--module", POLE_AT_DRAW, "--b", "b",
+                       "--seed", "t^0", "--window", "1,1,1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["crossCheckRank"] == report["rank"] == 6
+    assert report["notes"] == ["cross-checked at a=25/31, b=29/31"]
+
+
+def test_a_singular_specialization_names_its_point(capsys):
+    code, out, err = run(capsys, "probe", "--module", POLE_AT_DRAW, "--b", "b",
+                         "--seed", "t^0", "--window", "1,1,1",
+                         "--specialize", "a=28/31")
+    assert (code, out) == (2, "")
+    assert err == "error: denominator of 1/(31*a - 28) vanishes under a=28/31\n"
 
 
 def test_rejected_names_are_named(capsys):

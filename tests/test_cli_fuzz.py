@@ -37,12 +37,13 @@ MALFORMED_SPECS = [
     '{"family":"laurent","alpha":"a","lambda":"2"}',
     "[1, 2]",
     "not json",
+    '{"family":"fraction","alphas":["1/3","1/3"],"betas":["0","1/0"]}',
 ]
-BAD_VECTORS = ["t^", "", "t^0 - t^0", "D^-1", "t^0*d^5"]
+BAD_VECTORS = ["t^", "", "t^0 - t^0", "D^-1", "t^0*d^5", "(t-1/0)^-1"]
 B_TEXTS = ["b", "0", "1/3", "1/2", "-1"]
 BAD_B_TEXTS = ["1/0", "b b", ""]
 GENERATORS = ["L[1]", "H[-1]", "G+[1/2]", "G-[0]", "G+[-1]", "C"]
-BAD_GENERATORS = ["G[1]", "H[1/2]", "Q[0]", ""]
+BAD_GENERATORS = ["G[1]", "H[1/2]", "Q[0]", "", "L[1/0]"]
 
 
 def _mostly(valid, bad) -> st.SearchStrategy:

@@ -15,7 +15,6 @@ from supermod.dmodules import (
 )
 from supermod.functors import (
     GModuleHandle,
-    SModuleHandle,
     g_act,
     s_act,
     s_act_check,
@@ -304,23 +303,22 @@ def test_delta_terms_is_the_inverse_shift_table():
 
 def test_s_act_frozen_values():
     lau = LaurentModule("a")
-    sh = SModuleHandle(GModuleHandle(lau, B), 0)
+    handle = GModuleHandle(lau, B)
     t = lambda n, bar=False: single(lau.token(n, bar))
-    notes: list[str] = []
     # G_0 . t^n = (a + n) bar(t^n);  G_0 . bar(t^n) = -t^n
-    assert s_act(sh, "G", 0, t(2), notes) == t(2, 1).scale(A + 2)
-    assert s_act(sh, "G", 0, t(2, 1), notes) == -t(2)
+    assert s_act(handle, "G", 0, t(2)) == t(2, 1).scale(A + 2)
+    assert s_act(handle, "G", 0, t(2, 1)) == -t(2)
     # L_m agrees with the unrestricted action
-    assert s_act(sh, "L", 4, t(1), notes) == t(3).scale(-(A + 1 + 2 * B))
-    assert notes == []
+    assert s_act(handle, "L", 4, t(1)) == t(3).scale(-(A + 1 + 2 * B))
 
 
 @pytest.mark.parametrize("eps2", [0, 1], ids=["eps=0", "eps=1/2"])
 def test_s_act_routes_agree(eps2):
-    sh = SModuleHandle(GModuleHandle(LaurentModule("a"), B, sector=eps2), eps2)
-    report = s_act_check(sh, 2, 2)
+    handle = GModuleHandle(LaurentModule("a"), B, sector=eps2)
+    report = s_act_check(handle, 2, 2)
     assert report.passed
-    assert report.checked == (2 * 2 + 1 + 2 * 2 + (1 - eps2)) * len(sh.g_handle.tokens(2))
+    assert report.details["epsilon"] == ("1/2" if eps2 else "0")
+    assert report.checked == (2 * 2 + 1 + 2 * 2 + (1 - eps2)) * len(handle.tokens(2))
 
 
 def test_s_act_reports_a_perturbed_closed_form(monkeypatch):
@@ -331,30 +329,29 @@ def test_s_act_reports_a_perturbed_closed_form(monkeypatch):
         return op + SDElement.word(0, 0, CF_ONE) if kind == "L" and index2 == 2 else op
 
     monkeypatch.setattr(functors, "_closed_form", perturbed)
-    sh = SModuleHandle(GModuleHandle(LaurentModule("a"), B), 0)
-    notes: list[str] = []
-    v = single(sh.g_handle.module.token(0))
-    assert s_act(sh, "L", 2, v, notes) == g_act(sh.g_handle, gen("L", 2), v)
-    assert notes == ["L[1]: embedding and closed form disagree"]
-    s_act(sh, "L", 4, v, notes)
-    assert len(notes) == 1
-    report = s_act_check(sh, 1, 1)
+    handle = GModuleHandle(LaurentModule("a"), B)
+    # the action itself still comes from the embedding
+    for tok in handle.tokens(1):
+        v = single(tok)
+        assert s_act(handle, "L", 2, v) == g_act(handle, gen("L", 2), v)
+    report = s_act_check(handle, 1, 1)
     assert not report.passed
     # L_1 is wrong on every window token, and nothing else is
-    assert len(report.violations) == len(sh.g_handle.tokens(1))
-    assert {v["generator"] for v in report.violations} == {"L[1]"}
+    assert report.violations == [
+        {"generator": "L[1]", "token": str(tok),
+         "note": "L[1]: embedding and closed form disagree"}
+        for tok in handle.tokens(1)]
 
 
 def test_s_act_index_validation():
-    sh = SModuleHandle(GModuleHandle(LaurentModule("a"), B), 0)
-    with pytest.raises(ValueError):
-        s_act(sh, "G", 1, single(sh.g_handle.module.token(0)))
-    with pytest.raises(ValueError):
-        s_act(sh, "L", 1, single(sh.g_handle.module.token(0)))
-    with pytest.raises(ValueError):
-        s_act(sh, "H", 0, single(sh.g_handle.module.token(0)))
-    with pytest.raises(ValueError):
-        SModuleHandle(GModuleHandle(LaurentModule("a"), B), 1)
+    handle = GModuleHandle(LaurentModule("a"), B)
+    v = single(handle.module.token(0))
+    with pytest.raises(ValueError, match="does not live in sector 0"):
+        s_act(handle, "G", 1, v)
+    with pytest.raises(ValueError, match="L takes integer indices"):
+        s_act(handle, "L", 1, v)
+    with pytest.raises(ValueError, match="kinds L and G"):
+        s_act(handle, "H", 0, v)
 
 
 # ----------------------------------------------------------------------

@@ -34,14 +34,9 @@ def test_delta_images():
     assert apply_delta(lv("L", 0, 0)) == (
         lv("L", 0, 1) - lv("H", 0, 1, Fraction(1, 2)) + lv("C", 0, 1, Fraction(1, 24)))
     assert apply_delta(lv("G+", 2, 0)) == lv("G+", 1, 1)
-
-
-def test_delta_direction_validation():
-    apply_delta(lv("L", 0, 1), "half-to-zero")
-    with pytest.raises(ValueError):
-        apply_delta(lv("L", 0, 1), "zero-to-half")
-    with pytest.raises(ValueError):
-        apply_delta(lv("L", 0, 0), "sideways")
+    # the direction follows the argument's sector
+    for x in (lv("L", 0, 1), lv("G-", 1, 1), lv("L", 0, 0), lv("G+", 2, 0)):
+        assert apply_delta(x).sector == 1 - x.sector
 
 
 def test_delta_is_a_homomorphism():
