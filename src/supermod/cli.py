@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -275,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help: str):
-        return commands.add_parser(name, help=help, parents=[common])
+        sub = commands.add_parser(name, help=help, parents=[common])
+        # argparse reads a word such as -1/4, -b or -t^0 as an unknown option
+        # unless it looks like a plain negative number; widen that test so a
+        # value flag takes any next word that does not start with "--"
+        sub._negative_number_matcher = re.compile(r"-[^-]")
+        return sub
 
     sub = add_parser("verify-algebra", "graded Jacobi identity on a window")
     sub.add_argument("--sector", default="0", help="0 or 1/2")

@@ -134,16 +134,6 @@ class ModuleVector(LinComb):
         """The terms in global token order; internal loops read ``_terms``."""
         return iter(sorted(self._terms.items()))
 
-    def support(self) -> list[BasisToken]:
-        return sorted(self._terms)
-
-    def parity(self) -> int | None:
-        """0 or 1 if all tokens share a bar flag, None for mixed or zero."""
-        flags = {tok.bar for tok in self._terms}
-        if len(flags) != 1:
-            return None
-        return 1 if flags.pop() else 0
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if isinstance(other, ModuleVector):
             # each side is single-family already, so one token of each decides

@@ -193,12 +193,6 @@ class LieVector(LinComb):
     def zero(sector: int) -> "LieVector":
         return LieVector(sector)
 
-    def parity(self) -> int | None:
-        parities = {parity(g.kind) for g in self._terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
-
     def _require_same_sector(self, other: "LieVector") -> None:
         if self.sector != other.sector:
             raise ValueError(
@@ -208,10 +202,6 @@ class LieVector(LinComb):
     def __add__(self, other: "LieVector") -> "LieVector":
         self._require_same_sector(other)
         return super().__add__(other)
-
-    def drop_central(self) -> "LieVector":
-        """The image in the quotient by the center (C coefficient dropped)."""
-        return self._like({g: c for g, c in self._terms.items() if g.kind != "C"})
 
     def __eq__(self, other: object) -> bool:
         if (isinstance(other, LieVector) and self.sector != other.sector

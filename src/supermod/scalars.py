@@ -29,8 +29,9 @@ list) is positive.  Two equal scalars always print identically, and every
 printed scalar re-parses to an equal value.
 
 Parameter names are identifiers; the four operator identifiers ``t``, ``D``,
-``theta``, ``dtheta`` are reserved and rejected, so scalar expressions can be
-embedded in operator expressions without ambiguity.
+``theta``, ``dtheta`` are reserved and rejected, because vector and token
+text (``t^0 - (a + 1)*t^2~``) mixes coefficient names with the ``t`` and ``D``
+of its tokens.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ __all__ = [
 
 ScalarLike = Union["Scalar", int, Fraction, str]
 
-#: identifiers that the operator grammar claims for itself
+#: operator identifiers; vector and token text uses t and D next to
+#: coefficient names, so no parameter may take them
 RESERVED_NAMES = frozenset({"t", "D", "theta", "dtheta"})
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -345,11 +347,6 @@ class Scalar:
         q = self._q
         return not self._n if q is None else not q
 
-    @property
-    def is_one(self) -> bool:
-        q = self._q
-        return self._n == self._d if q is None else q == _QQ_ONE
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -585,21 +582,15 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
 
 
-class _Parser:
-    """Recursive-descent skeleton shared by the scalar and operator grammars.
+class _ScalarParser:
+    """Recursive-descent parser of the scalar grammar.
 
     expr   := term  (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | '+' factor | power
     power  := atom ('^' ['-'] INT)?
     atom   := INT | NAME | '(' expr ')'
-
-    Subclasses give the values of INT and NAME tokens (``leaf``), the
-    meaning of ``/`` (``divide``) and of ``^`` (``raise_to``), and the
-    exception class raised on malformed text (``error``).
     """
-
-    error = ScalarParseError
 
     def __init__(self, text: str):
         self.text = text
@@ -613,7 +604,7 @@ class _Parser:
             m = _TOKEN_RE.match(text, pos)
             if m is None:
                 if text[pos:].strip():
-                    raise self.error(
+                    raise ScalarParseError(
                         f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
                 break
             tokens.append(m.group(m.lastgroup))
@@ -626,18 +617,18 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise self.error(f"unexpected end of input in {self.text!r}")
+            raise ScalarParseError(f"unexpected end of input in {self.text!r}")
         self.pos += 1
         return tok
 
-    def run(self):
+    def run(self) -> Scalar:
         value = self.expr()
         if self.peek() is not None:
-            raise self.error(
+            raise ScalarParseError(
                 f"trailing input {' '.join(self.tokens[self.pos:])!r} in {self.text!r}")
         return value
 
-    def expr(self):
+    def expr(self) -> Scalar:
         value = self.term()
         while self.peek() in ("+", "-"):
             if self.take() == "+":
@@ -646,16 +637,19 @@ class _Parser:
                 value = value - self.term()
         return value
 
-    def term(self):
+    def term(self) -> Scalar:
         value = self.factor()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
                 value = value * self.factor()
             else:
-                value = self.divide(value, self.factor())
+                divisor = self.factor()
+                if divisor.is_zero:
+                    raise ScalarDivisionError(f"division by zero in {self.text!r}")
+                value = value / divisor
         return value
 
-    def factor(self):
+    def factor(self) -> Scalar:
         if self.peek() == "-":
             self.take()
             return -self.factor()
@@ -664,7 +658,7 @@ class _Parser:
             return self.factor()
         return self.power()
 
-    def power(self):
+    def power(self) -> Scalar:
         base = self.atom()
         if self.peek() != "^":
             return base
@@ -675,35 +669,22 @@ class _Parser:
             sign = -1
         tok = self.take()
         if not tok.isdigit():
-            raise self.error(f"expected integer exponent in {self.text!r}")
-        return self.raise_to(base, sign * int(tok))
+            raise ScalarParseError(f"expected integer exponent in {self.text!r}")
+        return base ** (sign * int(tok))
 
-    def atom(self):
+    def atom(self) -> Scalar:
         tok = self.take()
         if tok == "(":
             value = self.expr()
             if self.peek() != ")":
-                raise self.error(f"missing ')' in {self.text!r}")
+                raise ScalarParseError(f"missing ')' in {self.text!r}")
             self.take()
             return value
-        if tok.isdigit() or _NAME_RE.match(tok):
-            return self.leaf(tok)
-        raise self.error(f"unexpected token {tok!r} in {self.text!r}")
-
-
-class _ScalarParser(_Parser):
-    def leaf(self, tok: str) -> Scalar:
         if tok.isdigit():
             return Scalar.from_rational(int(tok))
-        return Scalar.parameter(tok)
-
-    def divide(self, value: Scalar, divisor: Scalar) -> Scalar:
-        if divisor.is_zero:
-            raise ScalarDivisionError(f"division by zero in {self.text!r}")
-        return value / divisor
-
-    def raise_to(self, base: Scalar, exponent: int) -> Scalar:
-        return base ** exponent
+        if _NAME_RE.match(tok):
+            return Scalar.parameter(tok)
+        raise ScalarParseError(f"unexpected token {tok!r} in {self.text!r}")
 
 
 def scalar(value: ScalarLike) -> Scalar:

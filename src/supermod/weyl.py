@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import ONE as SC_ONE
-from .scalars import LinComb, Scalar, ScalarParseError, _Parser, render_linear, scalar
+from .scalars import LinComb, Scalar, render_linear, scalar
 
 __all__ = [
     "CF_ONE",
@@ -32,8 +31,6 @@ __all__ = [
     "CF_DTHETA",
     "SDElement",
     "SuperLaurent",
-    "parse_operator",
-    "OperatorParseError",
 ]
 
 # Clifford units, in the fixed basis order used for normal forms.
@@ -62,10 +59,6 @@ _CF_MUL: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
     (CF_DTHETA, CF_THETA): ((1, CF_ONE), (-1, CF_N)),
     (CF_DTHETA, CF_DTHETA): (),
 }
-
-
-class OperatorParseError(ScalarParseError):
-    """Text that does not match the operator grammar."""
 
 
 Word = tuple[int, int, int]  # (t-power, D-power, clifford unit)
@@ -225,56 +218,3 @@ class SuperLaurent(LinComb):
 
     def __repr__(self) -> str:
         return f"SuperLaurent({self.render()!r})"
-
-
-# ----------------------------------------------------------------------
-# operator expressions
-
-#: the words the reserved identifiers of the operator grammar stand for
-_GENERATOR_WORDS = {"t": (1, 0, CF_ONE), "D": (0, 1, CF_ONE),
-                    "theta": (0, 0, CF_THETA), "dtheta": (0, 0, CF_DTHETA)}
-
-
-class _OperatorParser(_Parser):
-    """The scalar grammar over the Weyl superalgebra.
-
-    The reserved identifiers t, D, theta, dtheta denote the algebra
-    generators, other identifiers denote scalar parameters, and * means
-    the (noncommutative) product.  Division and negative powers are only
-    defined where the operand is a pure scalar or a power of t.
-    """
-
-    error = OperatorParseError
-
-    def leaf(self, tok: str) -> SDElement:
-        if tok.isdigit():
-            return SDElement.one().scale(int(tok))
-        if tok in _GENERATOR_WORDS:
-            return SDElement.word(*_GENERATOR_WORDS[tok])
-        return SDElement.one().scale(Scalar.parameter(tok))
-
-    def divide(self, value: SDElement, divisor: SDElement) -> SDElement:
-        return value * self._invert(divisor)
-
-    def raise_to(self, base: SDElement, exponent: int) -> SDElement:
-        if exponent < 0:
-            base, exponent = self._invert(base), -exponent
-        out = base if exponent else SDElement.one()
-        for _ in range(exponent - 1):
-            out = out * base
-        return out
-
-    def _invert(self, x: SDElement) -> SDElement:
-        if x.is_zero:
-            raise OperatorParseError(f"division by zero in {self.text!r}")
-        if len(x) == 1:
-            ((k, l, c), coeff), = x.items()
-            if l == 0 and c == CF_ONE:
-                return SDElement.word(-k, 0, CF_ONE, SC_ONE / coeff)
-        raise OperatorParseError(
-            f"cannot divide by a non-scalar operator in {self.text!r}")
-
-
-def parse_operator(text: str) -> SDElement:
-    """Parse an operator expression in t, D, theta, dtheta and parameters."""
-    return _OperatorParser(text).run()

@@ -322,6 +322,32 @@ def test_parser_reuse_matches_a_fresh_parser(capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("flag,value,args", [
+    ("--b", "-1/4", ("probe", "--module", LAURENT, "--seed", "t^0",
+                     "--window", "1,1,1")),
+    ("--b", "-b", ("act", "--module", LAURENT, "--generator", "L[1]",
+                   "--vector", "t^0")),
+    ("--vector", "-t^0", ("act", "--module", LAURENT, "--b", "b",
+                          "--generator", "L[1]")),
+    ("--vector", "-2*t^0", ("act", "--module", LAURENT, "--b", "b",
+                            "--generator", "L[1]")),
+    ("--alpha", "-1/3", ("check-iso", "--witness", "phi", "--window", "1,1")),
+], ids=["probe-b-fraction", "act-b-name", "act-vector-token",
+        "act-vector-term", "check-iso-alpha"])
+def test_a_value_flag_takes_a_next_word_starting_with_minus(capsys, flag, value, args):
+    spaced = run(capsys, *args, flag, value)
+    assert spaced == run(capsys, *args, f"{flag}={value}")
+    assert spaced[0] == 0 and spaced[1]
+
+
+def test_minus_words_leave_options_and_help_alone(capsys):
+    code, out, _ = run(capsys, "probe", "-h")
+    assert code == 0 and out.startswith("usage: supermod probe")
+    code, out, err = run(capsys, "probe", "--module", LAURENT, "--b", "--sector",
+                         "0", "--seed", "t^0", "--window", "1,1,1")
+    assert (code, out) == (2, "") and "--b: expected one argument" in err
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "verify-algebra", "--window", "1",

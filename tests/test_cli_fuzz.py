@@ -19,7 +19,7 @@ from supermod.cli import main
 
 #: valid specs, each with vectors of its family
 FAMILIES = [
-    ('{"family":"laurent","alpha":"a"}', ["t^0", "2*t^1 + t^0~", "t^-1~"]),
+    ('{"family":"laurent","alpha":"a"}', ["t^0", "2*t^1 + t^0~", "t^-1~", "-t^0"]),
     ('{"family":"laurent","alpha":0}', ["t^0", "t^1~ - t^0"]),
     ('{"family":"omega","lambda":"2"}', ["D^0", "D^1 - 3*D^0~"]),
     ('{"family":"fraction","alphas":["1/3","1/3"],"betas":["0","1"]}',
@@ -40,7 +40,7 @@ MALFORMED_SPECS = [
     '{"family":"fraction","alphas":["1/3","1/3"],"betas":["0","1/0"]}',
 ]
 BAD_VECTORS = ["t^", "", "t^0 - t^0", "D^-1", "t^0*d^5", "(t-1/0)^-1"]
-B_TEXTS = ["b", "0", "1/3", "1/2", "-1"]
+B_TEXTS = ["b", "0", "1/3", "1/2", "-1", "-1/4", "-b"]
 BAD_B_TEXTS = ["1/0", "b b", ""]
 GENERATORS = ["L[1]", "H[-1]", "G+[1/2]", "G-[0]", "G+[-1]", "C"]
 BAD_GENERATORS = ["G[1]", "H[1/2]", "Q[0]", "", "L[1/0]"]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ def test_parameter_arithmetic():
     prod = b * (1 - 2 * b)
     assert prod == b - 2 * b * b
     assert prod - prod == 0
-    assert (b / b).is_one
+    assert b / b == 1
     assert (1 - 2 * b) / (2 - 4 * b) == Fraction(1, 2)
 
 
@@ -74,7 +75,7 @@ def test_powers():
     assert b ** 0 == 1
     assert b ** 3 == b * b * b
     assert b ** -2 * b ** 2 == 1
-    assert (ZERO ** 0).is_one
+    assert ZERO ** 0 == 1
 
 
 def test_render_canonical_forms():
@@ -112,7 +113,9 @@ def test_parse_errors():
     for bad in ["", "b +", "(a", "a ^ b", "1..2", "a $ b", "theta"]:
         with pytest.raises((ScalarParseError, ScalarDivisionError)):
             Scalar.parse(bad)
-    with pytest.raises(ScalarDivisionError):
+    # the parser names the text it was given, not just the failed division
+    with pytest.raises(ScalarDivisionError,
+                       match=re.escape("division by zero in '1/(b - b)'")):
         Scalar.parse("1/(b - b)")
 
 
