@@ -347,6 +347,9 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
         if vec.is_zero:
             raise ValueError("subspace generators must be nonzero")
         span.insert(_project(vec, allowed)[0])
+    if not span.rank:
+        raise ValueError("every subspace generator lies outside the token "
+                         "window, so there is nothing to check")
     gens = _window_generators(handle.sector, window.gen_bound)
     report = VerificationReport(
         "submodule", {"window": window.to_json(), "subspaceRank": span.rank})

@@ -37,7 +37,6 @@ from .scalars import LinComb, Scalar, render_linear, scalar
 __all__ = [
     "Generator",
     "LieVector",
-    "generator",
     "parse_generator",
     "render_generator",
     "parse_sector",
@@ -88,17 +87,6 @@ class VerificationReport:
 class Generator(NamedTuple):
     kind: str
     index2: int  # doubled index; "G+[3/2]" has index2 == 3
-
-
-def generator(kind: str, index2: int) -> Generator:
-    """Validated constructor: L/H/C take integer indices, C only index 0."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if kind == "C" and index2 != 0:
-        raise ValueError("the central element C carries no index")
-    if kind in ("L", "H") and index2 % 2:
-        raise ValueError(f"{kind} indices must be integers (index2 even)")
-    return Generator(kind, index2)
 
 
 def parity(kind: str) -> int:
@@ -188,10 +176,6 @@ class LieVector(LinComb):
     def basis(gen: Generator, sector: int,
               coeff: Scalar | int | Fraction = 1) -> "LieVector":
         return LieVector(sector, {gen: scalar(coeff)})
-
-    @staticmethod
-    def zero(sector: int) -> "LieVector":
-        return LieVector(sector)
 
     def _require_same_sector(self, other: "LieVector") -> None:
         if self.sector != other.sector:

@@ -463,6 +463,10 @@ def test_submodule_rejects_degenerate_subspaces():
         submodule_check(handle, [], Window(2, 3))
     with pytest.raises(ValueError):
         submodule_check(handle, [ModuleVector.zero()], Window(2, 3))
+    # every generator projects to zero in the window: nothing would be checked
+    outside = [single(handle.module.token(5)), single(handle.module.token(-4, bar=True))]
+    with pytest.raises(ValueError, match="outside the token window"):
+        submodule_check(handle, outside, Window(2, 3))
 
 
 # ----------------------------------------------------------------------

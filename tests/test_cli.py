@@ -166,6 +166,14 @@ def test_check_submodule_confirms_invariance(capsys):
     assert code == 0, out
 
 
+def test_check_submodule_outside_the_window_exits_two(capsys):
+    code, out, err = run(capsys, "check-submodule", "--module",
+                         '{"family":"laurent","alpha":"1/3"}', "--b", "1/3",
+                         "--vector", "t^5", "--window", "1,1")
+    assert code == 2 and out == ""
+    assert "outside the token window" in err
+
+
 # ----------------------------------------------------------------------
 # output plumbing
 

@@ -5,7 +5,8 @@ malformed module specs, b texts, generator and vector texts, and windows
 with bounds in -1..2 (generator bounds at most 1 where the check is
 expensive).  Whatever the input, the CLI exits 0, 1 or 2, never lets an
 exception escape, and a report that says it passed has checked something
-and, where it counts violations, has none.
+and, where it counts violations, has none; a passing submodule report
+spans at least one vector of the window.
 """
 
 import contextlib
@@ -119,3 +120,5 @@ def test_cli_keeps_the_exit_code_contract(argv):
             assert report["checked"] >= 1, argv
         if "violationCount" in report:
             assert report["passed"] == (report["violationCount"] == 0), argv
+        if report.get("kind") == "submodule" and report["passed"]:
+            assert report["details"]["subspaceRank"] >= 1, argv

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supermod import morphisms
-from supermod.liealg import LieVector, bracket, generator
+from supermod.liealg import Generator, LieVector, bracket
 from supermod.morphisms import (
     apply_delta,
     apply_sigma_aut,
@@ -18,7 +18,7 @@ b = Scalar.parameter("b")
 
 
 def lv(kind, index2, sector, coeff=1):
-    return LieVector.basis(generator(kind, index2), sector, coeff)
+    return LieVector.basis(Generator(kind, index2), sector, coeff)
 
 
 def test_delta_images():
@@ -50,7 +50,7 @@ def test_delta_mutation_detected():
     # dropping the C/24 correction on L_0 breaks [L_2, L_-2]
     def mutated(x):
         image = apply_delta(x)
-        c24 = x.coefficient(generator("L", 0)) * Fraction(1, 24)
+        c24 = x.coefficient(Generator("L", 0)) * Fraction(1, 24)
         return image + lv("C", 0, 0, -c24)
 
     x, y = lv("L", 4, 1), lv("L", -4, 1)

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,11 +41,10 @@ def test_parameter_arithmetic():
 
 
 def test_division_by_zero_scalar():
-    with pytest.raises(ScalarDivisionError):
-        ONE / ZERO
-    with pytest.raises(ScalarDivisionError):
-        ONE / (b - b)
-    with pytest.raises(ScalarDivisionError):
+    for divide in (lambda: ONE / ZERO, lambda: ONE / (b - b), lambda: 1 / (b - b)):
+        with pytest.raises(ScalarDivisionError, match="division by zero scalar"):
+            divide()
+    with pytest.raises(ScalarDivisionError, match="negative power"):
         ZERO ** -1
 
 
@@ -177,6 +177,36 @@ def test_field_axioms(x, y, z):
     assert x - y == x + (-y)
     if not y.is_zero:
         assert (x / y) * y == x
+
+
+def _sympy(value) -> sympy.Expr:
+    """An independent reading of a render (or an int/Fraction) in sympy."""
+    return sympy.sympify(str(value).replace("^", "**"))
+
+
+def _same(text_or_value, expr) -> bool:
+    return sympy.cancel(_sympy(text_or_value) - expr) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(), _ints, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_derived_operations_match_sympy(x, y, k, q):
+    # -, / and == are derived from +, * and is_zero: check them against
+    # sympy's own arithmetic on the renders, which shares none of that code
+    sx, sy = _sympy(x), _sympy(y)
+    assert _same(x - y, sx - sy)
+    assert _same(k - x, k - sx) and _same(q - x, _sympy(q) - sx)
+    assert (x == y) == (sympy.cancel(sx - sy) == 0)
+    assert (x != y) == (sympy.cancel(sx - sy) != 0)
+    assert (x == k) == (k == x) == (sympy.cancel(sx - k) == 0)
+    if y.is_zero:
+        with pytest.raises(ScalarDivisionError, match="division by zero scalar"):
+            x / y
+    else:
+        assert _same(x / y, sx / sy)
+    if not x.is_zero:
+        assert _same(1 / x, 1 / sx) and _same(q / x, _sympy(q) / sx)
+    assert (scalar(1) == "1") is False and (scalar(1) != "1") is True
 
 
 @settings(max_examples=60, deadline=None)
