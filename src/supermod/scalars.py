@@ -1,17 +1,22 @@
 """Exact scalar arithmetic over rational-function fields QQ(p1, ..., pk).
 
 Every coefficient in this package is a :class:`Scalar`: a quotient num/den
-of multivariate polynomials with rational coefficients in a finite set of
-named parameters (``alpha``, ``b``, ``lambda_``, ...).
+of multivariate polynomials with integer coefficients in a finite set of
+named parameters (``alpha``, ``b``, ``lambda_``, ...).  Any rational
+content sits in ``den``, so the coefficient arithmetic of a symbolic
+value is plain integer arithmetic: the axiom suite's operands are almost
+all integer polynomials over unit denominators, and arithmetic over QQ
+spends its time on a gcd per coefficient operation.
 
 A parameter-free value, such as every coefficient of a check at a rational
 point like ``b = 1/3``, is held as one QQ element and computed on in plain
 QQ arithmetic; its ground polynomials are built only if something asks for
-them.  A rational q meets a symbolic num/den in the symbolic value's own
-ring (``num.mul_ground(q)``, ``num + den.mul_ground(q)``), and a product
-with a factor of one or zero returns without arithmetic.  A symbolic value
-that cancels to a rational, such as ``a/a``, stays in polynomial form but
-is equal to, hashes like and prints like the parameter-free value.
+them.  A rational p/r meets a symbolic num/den in the symbolic value's own
+ring (``num.mul_ground(p)`` over ``den.mul_ground(r)``), two constant
+denominators meet at their lcm, and a product with a factor of one or zero
+returns without arithmetic.  A symbolic value that cancels to a rational,
+such as ``a/a``, stays in polynomial form but is equal to, hashes like and
+prints like the parameter-free value.
 
 Only ``+``, ``*``, negation, ``**`` and ``is_zero`` are written out: the
 checks spend their scalar time there.  Subtraction is ``x + -y``,
@@ -27,11 +32,12 @@ where values enter: parsing and specialization.
 The representation is lazy.  Sums and products keep an unreduced num/den
 pair (sparse polynomial arithmetic only, via sympy's polys rings), and the
 gcd cancellation needed for a canonical form runs only where canonical data
-is actually required: hashing, printing and specialization.  The canonical form is the reduced fraction scaled so that
-numerator and denominator together have coprime integer content and the
-leading coefficient of the denominator (lex order over the sorted parameter
-list) is positive.  Two equal scalars always print identically, and every
-printed scalar re-parses to an equal value.
+is actually required: hashing, printing and specialization.  The canonical
+form is the reduced fraction with coprime integer content across
+numerator and denominator and a positive leading coefficient of the
+denominator (lex order over the sorted parameter list).  Two equal scalars
+always print identically, and every printed scalar re-parses to an equal
+value.
 
 Parameter names are identifiers; the four operator identifiers ``t``, ``D``,
 ``theta``, ``dtheta`` are reserved and rejected, because vector and token
@@ -46,7 +52,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring as _sympy_ring
 
@@ -97,7 +103,7 @@ def _get_ring(names: tuple[str, ...]):
         return _RING_CACHE[names]
     except KeyError:
         pass
-    made = _sympy_ring(",".join(names), QQ, lex)
+    made = _sympy_ring(",".join(names), ZZ, lex)
     # sympy returns (ring,) for an empty name list and (ring, *gens) otherwise
     rng = made[0] if isinstance(made, tuple) else made
     _RING_CACHE[names] = rng
@@ -105,7 +111,7 @@ def _get_ring(names: tuple[str, ...]):
 
 
 def _lift(poly, old_names: tuple[str, ...], new_names: tuple[str, ...]):
-    """Re-express ``poly`` from QQ[old_names] in QQ[new_names]; names that
+    """Re-express ``poly`` from ZZ[old_names] in ZZ[new_names]; names that
     ``new_names`` lacks must not occur in it."""
     if old_names == new_names:
         return poly
@@ -119,8 +125,9 @@ _QQ = QQ.dtype
 _QQ_ONE = QQ.one
 
 
-def _is_one(poly) -> bool:  # sympy's is_one builds the ring's one each time
-    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == _QQ_ONE
+def _ground(poly):
+    """The integer a constant polynomial equals, else None."""
+    return poly.get(poly.ring.zero_monom) if len(poly) == 1 else None
 
 
 def _to_qq(value) -> object:
@@ -151,8 +158,8 @@ class Scalar:
     """An element of QQ(p1, ..., pk), with lazy fraction normalization.
 
     A parameter-free value has ``_names == ()`` and its QQ element in
-    ``_q``; any other value has ``_q`` None and the polynomials ``_n``/``_d``
-    over the sorted parameter tuple ``_names``.
+    ``_q``; any other value has ``_q`` None and the integer polynomials
+    ``_n``/``_d`` over the sorted parameter tuple ``_names``.
     """
 
     __slots__ = ("_names", "_q", "_n", "_d", "_canon")
@@ -169,8 +176,8 @@ class Scalar:
     def _polys(self):
         """(num, den) as polynomials; a rational builds its ground pair once."""
         if self._n is None:
-            rng = _get_ring(())
-            self._n, self._d = rng.ground_new(self._q), rng.one
+            rng, q = _get_ring(()), self._q
+            self._n, self._d = rng.ground_new(q.numerator), rng.ground_new(q.denominator)
         return self._n, self._d
 
     # the pair as attributes, as perfbench's layer tracer reads it
@@ -224,10 +231,11 @@ class Scalar:
     # 76 powers and no -, / or ==; a probe pass adds only the divisions of
     # parsing its --b text.  Each hot operator settles the parameter-free
     # cases first: two rationals meet in plain QQ arithmetic, and a rational
-    # q meets a polynomial pair num/den through num.mul_ground(q) or
-    # den.mul_ground(q), in the other operand's own ring; only two
-    # polynomial operands are unified.  -, / and == (parsing and the
-    # catalog's comparisons) are derived from them.
+    # p/r meets an integer polynomial pair num/den through mul_ground by p
+    # and r, in the other operand's own ring; only two polynomial operands
+    # are unified, and a constant denominator is scaled by, never
+    # multiplied as, a polynomial.  -, / and == (parsing and the catalog's
+    # comparisons) are derived from them.
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         if other.__class__ is not Scalar:
@@ -237,14 +245,22 @@ class Scalar:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
                     return Scalar(names, na + nb, da)
-                return Scalar(names, na * db + nb * da, da * db)
+                ca, cb = _ground(da), _ground(db)
+                if ca is None or cb is None:
+                    return Scalar(names, na * db + nb * da, da * db)
+                lcm = math.lcm(ca, cb)
+                num = na.mul_ground(lcm // ca) + nb.mul_ground(lcm // cb)
+                return Scalar(names, num, da.ring.ground_new(lcm))
             self, other = other, self
         q = self._q
         if not q:
             return other
         if other._q is not None:
             return _rational(q + other._q)
-        return Scalar(other._names, other._n + other._d.mul_ground(q), other._d)
+        num, den, r = other._n, other._d, q.denominator
+        if r != 1:
+            num, den = num.mul_ground(r), den.mul_ground(r)
+        return Scalar(other._names, num + other._d.mul_ground(q.numerator), den)
 
     __radd__ = __add__
 
@@ -260,8 +276,12 @@ class Scalar:
         if self._q is None:
             if other._q is None:
                 names, na, da, nb, db = self._unify(other)
-                # most symbolic factors are polynomials: skip the unit product
-                den = db if _is_one(da) else da if _is_one(db) else da * db
+                # most symbolic factors are polynomials: skip the unit
+                # product, and scale by a constant rather than multiply
+                ca, cb = _ground(da), _ground(db)
+                den = (db if ca == 1 else da if cb == 1
+                       else db.mul_ground(ca) if ca is not None
+                       else da.mul_ground(cb) if cb is not None else da * db)
                 return Scalar(names, na * nb, den)
             self, other = other, self
         q = self._q
@@ -271,7 +291,10 @@ class Scalar:
             return ZERO
         r = other._q
         if r is None:
-            return Scalar(other._names, other._n.mul_ground(q), other._d)
+            den = other._d
+            if q.denominator != 1:
+                den = den.mul_ground(q.denominator)
+            return Scalar(other._names, other._n.mul_ground(q.numerator), den)
         if r == _QQ_ONE:
             return self
         return _rational(q * r)
@@ -344,16 +367,10 @@ class Scalar:
             self._canon = ((), rng.zero, rng.one)
             return self._canon
         g = num.gcd(den)
-        num, den = num.quo(g), den.quo(g)
-        coeffs = [c for _, c in num.terms()] + [c for _, c in den.terms()]
-        denom_lcm = 1
-        numer_gcd = 0
-        for c in coeffs:
-            denom_lcm = math.lcm(denom_lcm, int(c.denominator))
-            numer_gcd = math.gcd(numer_gcd, int(c.numerator))
-        scale = QQ(denom_lcm, numer_gcd)
-        num = num.mul_ground(scale)
-        den = den.mul_ground(scale)
+        num, den = num.exquo(g), den.exquo(g)
+        content = math.gcd(*num.itercoeffs(), *den.itercoeffs())
+        if content != 1:
+            num, den = num.exquo_ground(content), den.exquo_ground(content)
         if den.LC < 0:
             num, den = -num, -den
         used = set()
@@ -386,7 +403,7 @@ class Scalar:
             names, num, den = self._canonical()
             if names:
                 raise ScalarError(f"scalar {self} is not a rational number")
-            q = num.LC / den.LC
+            q = _QQ(int(num.LC), int(den.LC))
         return Fraction(int(q.numerator), int(q.denominator))
 
     # ------------------------------------------------------------------
@@ -405,7 +422,7 @@ class Scalar:
             return self
         names, num, den = self._canonical()
         if not names:
-            return _rational(num.LC / den.LC)
+            return _rational(_QQ(int(num.LC), int(den.LC)))
         assign = {}
         for name, value in assignments.items():
             if name in names:
@@ -420,8 +437,13 @@ class Scalar:
             raise SingularSpecializationError(
                 f"denominator of {self} vanishes under {point}")
         if not kept:
-            return _rational(new_num.LC / new_den.LC)
-        return Scalar(kept, new_num, new_den)
+            return _rational(new_num.get((), QQ.zero) / new_den[()])
+        # clear the QQ values' denominators together, back into ZZ[kept]
+        parts = (new_num, new_den)
+        scale = math.lcm(*(v.denominator for part in parts for v in part.values()))
+        num, den = (_get_ring(kept).from_dict(
+            {k: (v * scale).numerator for k, v in part.items()}) for part in parts)
+        return Scalar(kept, num, den)
 
     # ------------------------------------------------------------------
     # printing
@@ -457,19 +479,19 @@ class Scalar:
 
 def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],
               kept: tuple[str, ...]):
-    """Evaluate the assigned generators, keeping the rest symbolic."""
-    target = _get_ring(kept)
+    """Evaluate the assigned generators in QQ, keeping the rest symbolic:
+    the nonzero QQ coefficients by monomial in the kept names."""
     kept_idx = [names.index(n) for n in kept]
     data: dict[tuple[int, ...], object] = {}
     for mon, coeff in poly.terms():
-        value = coeff
+        value = _QQ(coeff)
         for i, name in enumerate(names):
             exp = mon[i]
             if exp and name in assign:
                 value = value * assign[name] ** exp
         key = tuple(mon[i] for i in kept_idx)
         data[key] = data.get(key, 0) + value
-    return target.from_dict({k: v for k, v in data.items() if v})
+    return {k: v for k, v in data.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -687,10 +709,6 @@ class LinComb:
 
     def __init__(self, terms: dict | None = None):
         self._terms = {k: c for k, c in (terms or {}).items() if not c.is_zero}
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def _like(self, terms: dict):
         """A combination of the same kind as self over already-clean terms."""

@@ -147,3 +147,8 @@ def test_vector_render():
     x = lv("L", 0, 0, 2) + lv("H", -2, 0, -1) + lv("C", 0, 0, Fraction(1, 2))
     assert str(x) == "2*L[0] - H[-1] + 1/2*C"
     assert str(LieVector(0)) == "0"
+
+
+def test_lie_vector_has_no_sectorless_zero():
+    # a LieVector needs its sector, so a zero() classmethod could only raise
+    assert not hasattr(LieVector, "zero")

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
 
 from supermod.dmodules import LaurentModule, ModuleVector, OmegaModule
 from supermod.liealg import Generator, LieVector
@@ -147,6 +149,9 @@ def test_parameters_visible():
 
 _params = st.sampled_from([a, b, alpha])
 _ints = st.integers(min_value=-4, max_value=4)
+# fractional leaves put rational content into the denominators, so sums
+# and products meet constant denominators other than 1
+_leaves = st.one_of(_ints, st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 @st.composite
@@ -154,7 +159,7 @@ def scalars(draw, depth=2):
     if depth == 0:
         if draw(st.booleans()):
             return draw(_params)
-        return scalar(draw(_ints))
+        return scalar(draw(_leaves))
     left = draw(scalars(depth=depth - 1))
     right = draw(scalars(depth=depth - 1))
     op = draw(st.sampled_from(["+", "-", "*"]))
@@ -207,6 +212,46 @@ def test_derived_operations_match_sympy(x, y, k, q):
     if not x.is_zero:
         assert _same(1 / x, 1 / sx) and _same(q / x, _sympy(q) / sx)
     assert (scalar(1) == "1") is False and (scalar(1) != "1") is True
+
+
+_points = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(), _points, _points)
+def test_sums_products_and_specialization_match_sympy(x, y, p, q):
+    # + and * do integer-polynomial arithmetic with the rational content in
+    # the denominators: check them, and specialization at non-integer
+    # points, against sympy on the renders
+    sx, sy = _sympy(x), _sympy(y)
+    assert _same(x + y, sx + sy) and _same(x * y, sx * sy)
+    point = {"a": p, "b": q}
+    subs = {sympy.Symbol(n): sympy.Rational(v.numerator, v.denominator)
+            for n, v in point.items()}
+    num, den = sympy.fraction(sympy.cancel(sx))
+    if den.subs(subs) == 0:
+        with pytest.raises(SingularSpecializationError):
+            x.specialize(point)
+    else:
+        assert _same(x.specialize(point), num.subs(subs) / den.subs(subs))
+
+
+def _assert_canonical_over_zz(x):
+    _, num, den = x._canonical()
+    assert num.ring.domain == ZZ and den.ring.domain == ZZ
+    assert math.gcd(*num.coeffs(), *den.coeffs()) == 1 and den.LC > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars())
+def test_canonical_form_is_primitive_over_zz(x, y):
+    for value in (x, x + y, x * y, -x, (x / y if not y.is_zero else x)):
+        if not _is_plain(value):
+            assert value._n.ring.domain == ZZ and value._d.ring.domain == ZZ
+        _assert_canonical_over_zz(value)
+    partial = ((a - b) / 4).specialize({"a": Fraction(1, 3)})
+    assert str(partial) == "(-3*b + 1)/12"
+    _assert_canonical_over_zz(partial)
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,7 +415,7 @@ def test_plain_rational_builds_ground_polynomials_on_demand():
     x = scalar(Fraction(-3, 4))
     assert len(x._num) == 1 and len(x._den) == 1
     assert len(ZERO._num) == 0
-    assert x == Fraction(-3, 4) and x._num.LC / x._den.LC == x._q
+    assert x == Fraction(-3, 4) and (x._num.LC, x._den.LC) == (-3, 4)
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _letters(word):
 
 
 def _to_sd(normalized):
-    out = SDElement.zero()
+    out = SDElement()
     for word, coeff in normalized.items():
         a = word.count("t") - word.count("i")
         l = word.count("p")
@@ -90,7 +90,7 @@ def _to_sd(normalized):
 
 
 def oracle_mul(x, y):
-    acc = SDElement.zero()
+    acc = SDElement()
     for wx, cx in x.items():
         for wy, cy in y.items():
             words = _normalize({_letters(wx) + _letters(wy): 1})
@@ -139,7 +139,7 @@ def test_parity():
     assert SDElement.word(0, 0, CF_N).parity() == 0
     assert SDElement.word(0, 0, CF_THETA).parity() == 1
     assert (SDElement.word(0, 0, CF_THETA) + SDElement.one()).parity() is None
-    assert SDElement.zero().parity() is None
+    assert SDElement().parity() is None
 
 
 def test_apply():
@@ -165,7 +165,7 @@ _words = st.tuples(
 
 @st.composite
 def sd_elements(draw, max_terms=3):
-    out = SDElement.zero()
+    out = SDElement()
     for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
         k, l, c = draw(_words)
         coeff = draw(st.integers(min_value=-3, max_value=3))
@@ -220,4 +220,4 @@ def test_render_pins_each_word_shape():
     assert str(w(0, 0, CF_ONE, Fraction(-1, 3)) - w(0, 0, CF_N)) == (
         "-1/3 - theta*dtheta")
     assert str(w(-1, 1, CF_N, 1 + b)) == "(b + 1)*t^-1*D*theta*dtheta"
-    assert str(SDElement.zero()) == "0"
+    assert str(SDElement()) == "0"
