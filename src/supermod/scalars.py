@@ -9,9 +9,11 @@ all integer polynomials over unit denominators, and arithmetic over QQ
 spends its time on a gcd per coefficient operation.
 
 A parameter-free value, such as every coefficient of a check at a rational
-point like ``b = 1/3``, is held as one QQ element and computed on in plain
-QQ arithmetic; its ground polynomials are built only if something asks for
-them.  A rational p/r meets a symbolic num/den in the symbolic value's own
+point like ``b = 1/3``, is held as two Python ints p/r, coprime with r > 0,
+and computed on in plain int arithmetic; no polynomial ring is built for it,
+and sympy, which supplies the rings, is imported only when the first ring
+is built (``_get_ring``), so a parameter-free check never loads it.  A
+rational p/r meets a symbolic num/den in the symbolic value's own
 ring (``num.mul_ground(p)`` over ``den.mul_ground(r)``), two constant
 denominators meet at their lcm, and a product with a factor of one or zero
 returns without arithmetic.  A symbolic value that cancels to a rational,
@@ -51,10 +53,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring as _sympy_ring
 
 __all__ = [
     "Scalar",
@@ -103,7 +101,12 @@ def _get_ring(names: tuple[str, ...]):
         return _RING_CACHE[names]
     except KeyError:
         pass
-    made = _sympy_ring(",".join(names), ZZ, lex)
+    # the only sympy import: a parameter-free value never needs a ring
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
+
+    made = ring(",".join(names), ZZ, lex)
     # sympy returns (ring,) for an empty name list and (ring, *gens) otherwise
     rng = made[0] if isinstance(made, tuple) else made
     _RING_CACHE[names] = rng
@@ -121,35 +124,29 @@ def _lift(poly, old_names: tuple[str, ...], new_names: tuple[str, ...]):
          for mon, coeff in poly.terms()})
 
 
-_QQ = QQ.dtype
-_QQ_ONE = QQ.one
-
-
 def _ground(poly):
     """The integer a constant polynomial equals, else None."""
     return poly.get(poly.ring.zero_monom) if len(poly) == 1 else None
 
 
-def _to_qq(value) -> object:
-    """Coerce an int/Fraction/str rational literal to a QQ element."""
-    if isinstance(value, int):
-        return _QQ(value)
-    if isinstance(value, Fraction):
-        return _QQ(value.numerator, value.denominator)
+def _to_fraction(value) -> Fraction:
+    """Coerce an int/Fraction/str rational literal to a Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, str):
         try:
-            frac = Fraction(value.strip())
+            return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError(f"not a rational literal: {value!r}") from exc
-        return _QQ(frac.numerator, frac.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational value")
 
 
-def _rational(q) -> "Scalar":
-    """The parameter-free Scalar holding the QQ element ``q``."""
+def _rational(p: int, r: int = 1) -> "Scalar":
+    """The parameter-free Scalar p/r, for coprime ints p and r > 0."""
     out = object.__new__(Scalar)
     out._names = ()
-    out._q = q
+    out._p = p
+    out._r = r
     out._n = out._d = out._canon = None
     return out
 
@@ -157,18 +154,19 @@ def _rational(q) -> "Scalar":
 class Scalar:
     """An element of QQ(p1, ..., pk), with lazy fraction normalization.
 
-    A parameter-free value has ``_names == ()`` and its QQ element in
-    ``_q``; any other value has ``_q`` None and the integer polynomials
+    A parameter-free value has ``_names == ()`` and its numerator and
+    positive denominator, coprime ints, in ``_p`` and ``_r``; any other
+    value has ``_p`` and ``_r`` None and the integer polynomials
     ``_n``/``_d`` over the sorted parameter tuple ``_names``.
     """
 
-    __slots__ = ("_names", "_q", "_n", "_d", "_canon")
+    __slots__ = ("_names", "_p", "_r", "_n", "_d", "_canon")
 
     def __init__(self, names: tuple[str, ...], num, den):
         # Internal constructor of the polynomial form, den nonzero; use
         # scalar()/Scalar.parameter()/Scalar.parse().
         self._names = names
-        self._q = None
+        self._p = self._r = None
         self._n = num
         self._d = den
         self._canon = None
@@ -176,11 +174,12 @@ class Scalar:
     def _polys(self):
         """(num, den) as polynomials; a rational builds its ground pair once."""
         if self._n is None:
-            rng, q = _get_ring(()), self._q
-            self._n, self._d = rng.ground_new(q.numerator), rng.ground_new(q.denominator)
+            rng = _get_ring(())
+            self._n, self._d = rng.ground_new(self._p), rng.ground_new(self._r)
         return self._n, self._d
 
-    # the pair as attributes, as perfbench's layer tracer reads it
+    # the pair as attributes, as perfbench's layer tracer reads it; on a
+    # rational this builds the ground pair, and so imports sympy
     _num = property(lambda self: self._polys()[0])
     _den = property(lambda self: self._polys()[1])
 
@@ -206,7 +205,7 @@ class Scalar:
     def over(self, names: tuple[str, ...]) -> "Scalar":
         """The same value over QQ[names], a sorted tuple of its parameters
         and more; a parameter-free value, which meets any ring, as is."""
-        if self._q is not None or self._names == names:
+        if self._p is not None or self._names == names:
             return self
         old, num, den = self._names, self._n, self._d
         if not set(old) <= set(names):
@@ -230,18 +229,21 @@ class Scalar:
     # the axiom suite makes about 44k products, 20k sums, 11k negations,
     # 76 powers and no -, / or ==; a probe pass adds only the divisions of
     # parsing its --b text.  Each hot operator settles the parameter-free
-    # cases first: two rationals meet in plain QQ arithmetic, and a rational
-    # p/r meets an integer polynomial pair num/den through mul_ground by p
-    # and r, in the other operand's own ring; only two polynomial operands
-    # are unified, and a constant denominator is scaled by, never
-    # multiplied as, a polynomial.  -, / and == (parsing and the catalog's
-    # comparisons) are derived from them.
+    # cases first.  Two rationals p/r and q/s meet in int arithmetic: over
+    # unit denominators a sum or product is one int operation, a sum
+    # reduces through gcd(r, s) and a product cross-reduces by gcd(p, s)
+    # and gcd(q, r), so every result is coprime without a full gcd.  A
+    # rational p/r meets an integer polynomial pair num/den through
+    # mul_ground by p and r, in the other operand's own ring; only two
+    # polynomial operands are unified, and a constant denominator is
+    # scaled by, never multiplied as, a polynomial.  -, / and == (parsing
+    # and the catalog's comparisons) are derived from them.
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         if other.__class__ is not Scalar:
             other = scalar(other)
-        if self._q is None:
-            if other._q is None:
+        if self._p is None:
+            if other._p is None:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
                     return Scalar(names, na + nb, da)
@@ -252,15 +254,25 @@ class Scalar:
                 num = na.mul_ground(lcm // ca) + nb.mul_ground(lcm // cb)
                 return Scalar(names, num, da.ring.ground_new(lcm))
             self, other = other, self
-        q = self._q
-        if not q:
+        p, r = self._p, self._r
+        if not p:
             return other
-        if other._q is not None:
-            return _rational(q + other._q)
-        num, den, r = other._n, other._d, q.denominator
+        q = other._p
+        if q is not None:
+            s = other._r
+            if r == 1 == s:
+                return _rational(p + q)
+            g = math.gcd(r, s)
+            if g == 1:
+                return _rational(p * s + q * r, r * s)
+            r, s = r // g, s // g
+            num = p * s + q * r
+            h = math.gcd(num, g)
+            return _rational(num // h, r * s * (g // h))
+        num, den = other._n, other._d
         if r != 1:
             num, den = num.mul_ground(r), den.mul_ground(r)
-        return Scalar(other._names, num + other._d.mul_ground(q.numerator), den)
+        return Scalar(other._names, num + other._d.mul_ground(p), den)
 
     __radd__ = __add__
 
@@ -273,8 +285,8 @@ class Scalar:
     def __mul__(self, other: ScalarLike) -> "Scalar":
         if other.__class__ is not Scalar:
             other = scalar(other)
-        if self._q is None:
-            if other._q is None:
+        if self._p is None:
+            if other._p is None:
                 names, na, da, nb, db = self._unify(other)
                 # most symbolic factors are polynomials: skip the unit
                 # product, and scale by a constant rather than multiply
@@ -284,20 +296,24 @@ class Scalar:
                        else da.mul_ground(cb) if cb is not None else da * db)
                 return Scalar(names, na * nb, den)
             self, other = other, self
-        q = self._q
-        if q == _QQ_ONE:
+        p, r = self._p, self._r
+        if p == r:
             return other
-        if not q:
+        if not p:
             return ZERO
-        r = other._q
-        if r is None:
+        q = other._p
+        if q is None:
             den = other._d
-            if q.denominator != 1:
-                den = den.mul_ground(q.denominator)
-            return Scalar(other._names, other._n.mul_ground(q.numerator), den)
-        if r == _QQ_ONE:
+            if r != 1:
+                den = den.mul_ground(r)
+            return Scalar(other._names, other._n.mul_ground(p), den)
+        s = other._r
+        if q == s:
             return self
-        return _rational(q * r)
+        if r == 1 == s:
+            return _rational(p * q)
+        g, h = math.gcd(p, s), math.gcd(q, r)
+        return _rational((p // g) * (q // h), (r // h) * (s // g))
 
     __rmul__ = __mul__
 
@@ -311,8 +327,8 @@ class Scalar:
         return scalar(other) / self
 
     def __neg__(self) -> "Scalar":
-        if self._q is not None:
-            return _rational(-self._q)
+        if self._p is not None:
+            return _rational(-self._p, self._r)
         return Scalar(self._names, -self._n, self._d)
 
     def __pow__(self, exponent: int) -> "Scalar":
@@ -322,8 +338,14 @@ class Scalar:
             return ONE
         if exponent < 0 and self.is_zero:
             raise ScalarDivisionError("zero scalar raised to a negative power")
-        if self._q is not None:
-            return _rational(self._q ** exponent)
+        p = self._p
+        if p is not None:
+            r = self._r
+            if exponent < 0:
+                p, r, exponent = r, p, -exponent
+                if r < 0:
+                    p, r = -p, -r
+            return _rational(p ** exponent, r ** exponent)
         if exponent < 0:
             return Scalar(self._names, self._d ** -exponent, self._n ** -exponent)
         return Scalar(self._names, self._n ** exponent, self._d ** exponent)
@@ -333,8 +355,8 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        q = self._q
-        return not self._n if q is None else not q
+        p = self._p
+        return not self._n if p is None else not p
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -346,12 +368,11 @@ class Scalar:
 
     def __hash__(self) -> int:
         # parameter-free values hash like the int/Fraction they equal
-        if self._q is not None:
-            return hash(self._q)
-        names, num, den = self._canonical()
-        if not names:
-            return hash(self.as_fraction())
-        return hash((names, tuple(num.terms()), tuple(den.terms())))
+        if self._p is None:
+            names, num, den = self._canonical()
+            if names:
+                return hash((names, tuple(num.terms()), tuple(den.terms())))
+        return hash(self.as_fraction())
 
     # ------------------------------------------------------------------
     # canonical form
@@ -389,7 +410,7 @@ class Scalar:
     @property
     def parameters(self) -> tuple[str, ...]:
         """Sorted names of the parameters this value actually depends on."""
-        if self._q is not None:
+        if self._p is not None:
             return ()
         return self._canonical()[0]
 
@@ -398,13 +419,12 @@ class Scalar:
         return not self.parameters
 
     def as_fraction(self) -> Fraction:
-        q = self._q
-        if q is None:
-            names, num, den = self._canonical()
-            if names:
-                raise ScalarError(f"scalar {self} is not a rational number")
-            q = _QQ(int(num.LC), int(den.LC))
-        return Fraction(int(q.numerator), int(q.denominator))
+        if self._p is not None:
+            return Fraction(self._p, self._r)
+        names, num, den = self._canonical()
+        if names:
+            raise ScalarError(f"scalar {self} is not a rational number")
+        return Fraction(int(num.LC), int(den.LC))
 
     # ------------------------------------------------------------------
     # specialization
@@ -418,15 +438,16 @@ class Scalar:
         the (reduced) denominator vanishes at the assignment.  A value left
         with no parameters comes back in the parameter-free form.
         """
-        if self._q is not None:
+        if self._p is not None:
             return self
         names, num, den = self._canonical()
         if not names:
-            return _rational(_QQ(int(num.LC), int(den.LC)))
+            # canonical: coprime integer content, positive denominator
+            return _rational(int(num.LC), int(den.LC))
         assign = {}
         for name, value in assignments.items():
             if name in names:
-                assign[name] = _to_qq(value)
+                assign[name] = _to_fraction(value)
         if not assign:
             return self
         kept = tuple(n for n in names if n not in assign)
@@ -437,8 +458,8 @@ class Scalar:
             raise SingularSpecializationError(
                 f"denominator of {self} vanishes under {point}")
         if not kept:
-            return _rational(new_num.get((), QQ.zero) / new_den[()])
-        # clear the QQ values' denominators together, back into ZZ[kept]
+            return scalar(new_num.get((), 0) / new_den[()])
+        # clear the rational values' denominators together, back into ZZ[kept]
         parts = (new_num, new_den)
         scale = math.lcm(*(v.denominator for part in parts for v in part.values()))
         num, den = (_get_ring(kept).from_dict(
@@ -449,11 +470,9 @@ class Scalar:
     # printing
 
     def render(self) -> str:
-        q = self._q
-        if q is not None:
-            if q.denominator == 1:
-                return str(q.numerator)
-            return f"{q.numerator}/{q.denominator}"
+        p = self._p
+        if p is not None:
+            return str(p) if self._r == 1 else f"{p}/{self._r}"
         names, num, den = self._canonical()
         if not num:
             return "0"
@@ -479,12 +498,13 @@ class Scalar:
 
 def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],
               kept: tuple[str, ...]):
-    """Evaluate the assigned generators in QQ, keeping the rest symbolic:
-    the nonzero QQ coefficients by monomial in the kept names."""
+    """Evaluate the assigned generators at their Fraction values, keeping
+    the rest symbolic: the nonzero coefficients by monomial in the kept
+    names."""
     kept_idx = [names.index(n) for n in kept]
     data: dict[tuple[int, ...], object] = {}
     for mon, coeff in poly.terms():
-        value = _QQ(coeff)
+        value = Fraction(coeff)
         for i, name in enumerate(names):
             exp = mon[i]
             if exp and name in assign:
@@ -642,7 +662,7 @@ class _ScalarParser:
             self.take()
             return value
         if tok.isdigit():
-            return _rational(_QQ(int(tok)))
+            return _rational(int(tok))
         if _NAME_RE.match(tok):
             return Scalar.parameter(tok)
         raise ScalarParseError(f"unexpected token {tok!r} in {self.text!r}")
@@ -652,8 +672,10 @@ def scalar(value: ScalarLike) -> Scalar:
     """Coerce an int, Fraction, str (scalar grammar), or Scalar to a Scalar."""
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _rational(_to_qq(value))
+    if isinstance(value, int):
+        return _rational(int(value))
+    if isinstance(value, Fraction):
+        return _rational(value.numerator, value.denominator)
     if isinstance(value, str):
         return Scalar.parse(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")

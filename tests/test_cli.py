@@ -1,6 +1,10 @@
 """Front-end behavior: exit codes, report shapes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +367,44 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(target) in err
     assert not target.exists()
+
+
+# ----------------------------------------------------------------------
+# sympy stays unloaded until a polynomial ring is needed
+
+_SYMPY_PROBE = """
+import contextlib, io, sys
+from supermod.cli import main
+
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(args))
+
+codes = [
+    run("probe", "--module", OMEGA, "--b", "1/3", "--seed", "D^1~", "--window", "1,2,2"),
+    run("verify-algebra", "--sector", "0", "--window", "1"),
+    run("check-iso", "--witness", "phi", "--window", "1,2"),
+    run("check-iso", "--witness", "psi", "--window", "1,2"),
+    run("check-submodule", "--module", '{"family":"laurent","alpha":"0"}',
+        "--b", "1/2", "--window", "1,1", "--vector", "t^-1", "--vector", "t^-1~",
+        "--vector", "t^0", "--vector", "t^1", "--vector", "t^1~"),
+]
+print(codes, "sympy" in sys.modules)
+codes.append(run("act", "--module", LAURENT, "--b", "b", "--generator", "L[1]",
+                 "--vector", "t^0"))
+print(codes, "sympy" in sys.modules)
+"""
+
+
+def test_parameter_free_commands_do_not_import_sympy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = f"OMEGA, LAURENT = {OMEGA!r}, {LAURENT!r}\n" + _SYMPY_PROBE
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rational, symbolic = done.stdout.splitlines()
+    # every call passes, and sympy arrives with the first symbolic one
+    assert rational == "[0, 0, 0, 0, 0] False"
+    assert symbolic == "[0, 0, 0, 0, 0, 0] True"

@@ -511,7 +511,7 @@ def _stray_rings(handle):
     """Rings other than the handle's among its images and its module's words."""
     vectors = list(handle._cache.values()) + list(handle.module._words.values())
     return {c._names for vec in vectors for c in vec._terms.values()
-            if c._q is None} - {handle.parameters()}
+            if c._p is None} - {handle.parameters()}
 
 
 @pytest.mark.parametrize("make_module", SYMBOLIC_FAMILIES,

@@ -314,8 +314,8 @@ _fixed = settings(max_examples=100, deadline=None, derandomize=True, database=No
 
 
 def _is_plain(x: Scalar) -> bool:
-    """Whether x is held as one QQ element rather than a polynomial pair."""
-    return x._q is not None
+    """Whether x is held as an int pair rather than a polynomial pair."""
+    return x._p is not None
 
 
 def _as_polynomial(q: Fraction) -> Scalar:
@@ -323,19 +323,46 @@ def _as_polynomial(q: Fraction) -> Scalar:
     return (a + q) - a
 
 
+_pair_values = st.one_of(st.integers(min_value=-30, max_value=30).map(Fraction),
+                         _rationals)
+
+
+def _assert_pair(got: Scalar, want: Fraction) -> None:
+    """got holds want as ints p/r, coprime with r > 0, and acts like it."""
+    assert _is_plain(got)
+    p, r = got._p, got._r
+    assert type(p) is int and type(r) is int
+    assert r > 0 and math.gcd(p, r) == 1 and Fraction(p, r) == want
+    assert got == want and want == got
+    assert (got == want.numerator) == (want.denominator == 1)
+    assert hash(got) == hash(want) and got.render() == str(want)
+
+
 @_fixed
-@given(_rationals, _rationals, _exponents)
+@given(_pair_values, _pair_values, _exponents)
 def test_rational_arithmetic_matches_fraction(p, q, k):
     x, y = scalar(p), scalar(q)
-    results = [(x + y, p + q), (x - y, p - q), (x * y, p * q), (-x, -p)]
+    cases = [(x + y, p + q), (x - y, p - q), (x * y, p * q), (-x, -p),
+             (x + q, p + q), (q - x, q - p), (q * x, q * p), (x ** 0, 1)]
     if q:
-        results.append((x / y, p / q))
+        cases += [(x / y, p / q), (p / y, p / q), (y ** -1, 1 / q)]
     if p or k >= 0:
-        results.append((x ** k, p ** k))
-    for got, want in results:
-        assert _is_plain(got)
-        assert got.as_fraction() == want
-        assert got.render() == str(want)
+        cases += [(x ** k, p ** k), ((-x) ** k, (-p) ** k)]
+    for got, want in cases:
+        _assert_pair(got, Fraction(want))
+    # a unit factor (p == r) hands back the other operand itself
+    assert ONE * x is x
+    if p not in (0, 1):
+        assert x * ONE is x
+
+
+def test_int_pair_sign_and_reduction_edges():
+    _assert_pair(scalar(-2) ** -1, Fraction(-1, 2))
+    _assert_pair(scalar(Fraction(-2, 3)) ** -3, Fraction(-27, 8))
+    _assert_pair(scalar(Fraction(2, 3)) * Fraction(9, 4), Fraction(3, 2))
+    _assert_pair(scalar(Fraction(1, 6)) + Fraction(1, 3), Fraction(1, 2))
+    _assert_pair(scalar(Fraction(1, 2)) + Fraction(-1, 2), Fraction(0))
+    _assert_pair(scalar(Fraction(-3, 4)) * 0, Fraction(0))
 
 
 @_fixed
