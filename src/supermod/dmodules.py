@@ -28,6 +28,12 @@ token carries a ``bar`` flag; the actions here never look at it, so the
 same arithmetic serves the doubled modules built later by the superize
 functor (which is where the flag starts to matter).
 
+A family's token text lives in its class, next to its actions: the regex
+``token_re`` and the methods ``render`` and ``parse`` for one unbarred
+token.  ``render_token``, ``parse_token`` and ``parse_vector`` are the
+family-agnostic entry points; they add the ``~`` bar suffix and reject a
+token of another family.
+
 Each module object keeps a word table, ``DModule.word(k, l, tok)`` =
 t^k D^l applied to one token: D^l tok is built from D^(l-1) tok, so every
 D-chain runs once per module and token, and the superize functor reads
@@ -157,6 +163,8 @@ class DModule:
     """Shared linear plumbing; families fill in the token-level actions."""
 
     family = ""
+    #: one unbarred token's text, as a regex whose named groups ``parse`` reads
+    token_re = ""
     #: (k, l, token) -> t^k D^l applied to the token, filled by ``word``
     _words: dict | None = None
     #: the parameter Scalars, and the tuple ``widen`` last put them over
@@ -227,8 +235,20 @@ class DModule:
     def specialize(self, assignments: dict) -> "DModule":
         return self
 
+    def render(self, tok: BasisToken) -> str:
+        """The text of one token, without the bar suffix."""
+        raise NotImplementedError
+
+    def parse(self, match: re.Match, bar: bool) -> BasisToken:
+        """The token a ``token_re`` match names, barred when ``bar``."""
+        return self.token(int(match["i"]), bar)
+
     def to_json(self) -> dict:
         raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        # exact: to_json prints each parameter in its canonical form
+        return type(other) is type(self) and self.to_json() == other.to_json()
 
     def __repr__(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -241,6 +261,7 @@ class LaurentModule(DModule):
     """Tokens t^n (n in Z); t^m shifts the index, D*t^n = (alpha+n) t^n."""
 
     family = "laurent"
+    token_re = r"t\^(?P<i>-?\d+)"
     alpha = property(lambda self: self._params[0])
 
     def __init__(self, alpha: Scalar | int | Fraction | str = 0):
@@ -261,11 +282,11 @@ class LaurentModule(DModule):
     def specialize(self, assignments: dict) -> "LaurentModule":
         return LaurentModule(self.alpha.specialize(assignments))
 
+    def render(self, tok: BasisToken) -> str:
+        return f"t^{tok.i}"
+
     def to_json(self) -> dict:
         return {"family": "laurent", "alpha": self.alpha.render()}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentModule) and self.alpha == other.alpha
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +296,7 @@ class OmegaModule(DModule):
     """Tokens D^n (n >= 0); t^m * D^n = lam^m (D - m)^n, D * D^n = D^{n+1}."""
 
     family = "omega"
+    token_re = r"D\^(?P<i>\d+)"
     lam = property(lambda self: self._params[0])
 
     def __init__(self, lam: Scalar | int | Fraction | str):
@@ -306,11 +328,11 @@ class OmegaModule(DModule):
     def specialize(self, assignments: dict) -> "OmegaModule":
         return OmegaModule(self.lam.specialize(assignments))
 
+    def render(self, tok: BasisToken) -> str:
+        return f"D^{tok.i}"
+
     def to_json(self) -> dict:
         return {"family": "omega", "lambda": self.lam.render()}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OmegaModule) and self.lam == other.lam
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +351,8 @@ class FractionModule(DModule):
     """
 
     family = "fraction"
+    token_re = (r"t\^(?P<i>\d+)|t\^-(?P<k0>\d+)"
+                r"|\(t(?P<sign>[+-])(?P<beta>\d+(?:/\d+)?)\)\^-(?P<k>\d+)")
     alphas = property(lambda self: self._params)
 
     def __init__(self,
@@ -432,16 +456,32 @@ class FractionModule(DModule):
         return FractionModule(
             [a.specialize(assignments) for a in self.alphas], self.betas)
 
+    def render(self, tok: BasisToken) -> str:
+        if tok.kind == 0:
+            return f"t^{tok.i}"
+        beta = self.betas[tok.i]
+        if beta == 0:
+            return f"t^-{tok.k}"
+        return f"(t-{beta})^-{tok.k}" if beta > 0 else f"(t+{-beta})^-{tok.k}"
+
+    def parse(self, match: re.Match, bar: bool) -> BasisToken:
+        if match["i"] is not None:
+            return self.pow_token(int(match["i"]), bar)
+        if match["k0"] is not None:
+            return self.pole_token(0, int(match["k0"]), bar)
+        beta = _pole(match["beta"])
+        if match["sign"] == "+":
+            beta = -beta
+        if beta not in self.betas:
+            raise ScalarParseError(f"{match.string!r} names a pole this module lacks")
+        return self.pole_token(self.betas.index(beta), int(match["k"]), bar)
+
     def to_json(self) -> dict:
         return {
             "family": "fraction",
             "alphas": [a.render() for a in self.alphas],
             "betas": [str(b) for b in self.betas],
         }
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FractionModule)
-                and self.alphas == other.alphas and self.betas == other.betas)
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +491,7 @@ class DegreeModule(DModule):
     """Tokens t^i d^m (i in Z, 0 <= m < n) with d = d/dt and d^n = t."""
 
     family = "degree"
+    token_re = r"t\^(?P<i>-?\d+)\*d\^(?P<m>\d+)"
 
     def __init__(self, n: int):
         if n < 1:
@@ -483,11 +524,14 @@ class DegreeModule(DModule):
         return [self.token(i, m)
                 for i in range(-bound, bound + 1) for m in range(self.n)]
 
+    def render(self, tok: BasisToken) -> str:
+        return f"t^{tok.i}*d^{tok.k}"
+
+    def parse(self, match: re.Match, bar: bool) -> BasisToken:
+        return self.token(int(match["i"]), int(match["m"]), bar)
+
     def to_json(self) -> dict:
         return {"family": "degree", "n": self.n}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DegreeModule) and self.n == other.n
 
 
 # ----------------------------------------------------------------------
@@ -531,61 +575,18 @@ def _spec_field(data: dict, name: str, listed: bool = False):
     return value
 
 
-def _beta_text(beta: Fraction) -> str:
-    return f"t-{beta}" if beta > 0 else f"t+{-beta}"
-
-
 def render_token(spec: DModule, tok: BasisToken) -> str:
     if tok.family != spec.family:
         raise ValueError(f"token family {tok.family!r} does not match {spec.family!r}")
-    bar = "~" if tok.bar else ""
-    if tok.family == "laurent" or (tok.family == "fraction" and tok.kind == 0):
-        return f"t^{tok.i}{bar}"
-    if tok.family == "omega":
-        return f"D^{tok.i}{bar}"
-    if tok.family == "fraction":
-        beta = spec.betas[tok.i]
-        if beta == 0:
-            return f"t^-{tok.k}{bar}"
-        return f"({_beta_text(beta)})^-{tok.k}{bar}"
-    return f"t^{tok.i}*d^{tok.k}{bar}"
-
-
-_TOKEN_RES = {
-    "laurent": re.compile(r"t\^(?P<i>-?\d+)(?P<bar>~)?"),
-    "omega": re.compile(r"D\^(?P<i>\d+)(?P<bar>~)?"),
-    "fraction": re.compile(
-        r"(?:t\^(?P<i>\d+)"
-        r"|t\^-(?P<k0>\d+)"
-        r"|\(t(?P<sign>[+-])(?P<beta>\d+(?:/\d+)?)\)\^-(?P<k>\d+))(?P<bar>~)?"),
-    "degree": re.compile(r"t\^(?P<i>-?\d+)\*d\^(?P<m>\d+)(?P<bar>~)?"),
-}
+    return spec.render(tok) + ("~" if tok.bar else "")
 
 
 def parse_token(spec: DModule, text: str) -> BasisToken:
     """Parse one token in the family of ``spec`` (bar suffix ``~`` allowed)."""
-    match = _TOKEN_RES[spec.family].fullmatch(text.strip())
+    match = re.fullmatch(rf"\s*(?:{spec.token_re})(?P<bar>~)?\s*", text)
     if match is None:
         raise ScalarParseError(f"not a {spec.family} token: {text!r}")
-    bar = match.group("bar") is not None
-    if spec.family == "laurent":
-        return spec.token(int(match.group("i")), bar)
-    if spec.family == "omega":
-        return spec.token(int(match.group("i")), bar)
-    if spec.family == "degree":
-        return spec.token(int(match.group("i")), int(match.group("m")), bar)
-    if match.group("i") is not None:
-        return spec.pow_token(int(match.group("i")), bar)
-    if match.group("k0") is not None:
-        return spec.pole_token(0, int(match.group("k0")), bar)
-    beta = _pole(match.group("beta"))
-    if match.group("sign") == "+":
-        beta = -beta
-    try:
-        j = spec.betas.index(beta)
-    except ValueError:
-        raise ScalarParseError(f"{text!r} names a pole this module lacks") from None
-    return spec.pole_token(j, int(match.group("k")), bar)
+    return spec.parse(match, match["bar"] is not None)
 
 
 def render_vector(spec: DModule, vec: ModuleVector) -> str:
@@ -621,9 +622,7 @@ def parse_vector(spec: DModule, text: str) -> ModuleVector:
     lead = 1
     if text.startswith("-"):
         lead, text = -1, text[1:].lstrip()
-    token_re = _TOKEN_RES[spec.family]
-    term_re = re.compile(
-        rf"(?:(?P<coef>.+)\*)?(?P<tok>{token_re.pattern})")
+    term_re = re.compile(rf"(?:(?P<coef>.+)\*)?(?P<tok>(?:{spec.token_re})~?)")
     out = ModuleVector.zero()
     for sign, term in _split_terms(text):
         match = term_re.fullmatch(term.strip())

@@ -57,11 +57,7 @@ __all__ = [
     "g_act",
     "s_act",
     "s_act_check",
-    "TAGS",
 ]
-
-TAGS = ("plain", "pi", "sigma", "quotient")
-
 
 def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
     """Act by a Weyl-superalgebra element on the doubled module.

@@ -177,6 +177,11 @@ class LieVector(LinComb):
               coeff: Scalar | int | Fraction = 1) -> "LieVector":
         return LieVector(sector, {gen: scalar(coeff)})
 
+    def parity(self) -> int | None:
+        """0 (even), 1 (odd), or None for mixed/zero vectors."""
+        parities = {parity(g.kind) for g in self._terms}
+        return parities.pop() if len(parities) == 1 else None
+
     def _require_same_sector(self, other: "LieVector") -> None:
         if self.sector != other.sector:
             raise ValueError(

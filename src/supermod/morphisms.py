@@ -31,7 +31,10 @@ generator pair in an index window and returns a
 :class:`~supermod.liealg.VerificationReport` (defined in ``liealg`` and
 importable from here).  The four bracket-compatibility checks share one
 loop, :func:`_bracket_pairs`, which counts each pair on the report and
-records each failing pair as a violation.
+records each failing pair as a violation; each check hands it f([x, y])
+as a function of the two basis elements.  For sigma-b that covers every
+pair of the extended algebra: generator/generator, generator/function in
+both orders and function/function.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from .liealg import (
     VerificationReport,
     algebra_generators,
     bracket,
-    parity,
-    render_generator,
     render_sector,
 )
 from .scalars import Scalar
@@ -162,8 +163,6 @@ def apply_sigma_aut(x: LieVector) -> LieVector:
 # ----------------------------------------------------------------------
 # homomorphism checks
 
-HOM_CHECK_KINDS = ("delta", "delta-roundtrip", "varpi", "sigma-b", "sigma-aut")
-
 
 def hom_check(which: str, window: int, b: Scalar | None = None) -> VerificationReport:
     """Verify one of the structure maps on all generator pairs in a window.
@@ -176,114 +175,86 @@ def hom_check(which: str, window: int, b: Scalar | None = None) -> VerificationR
     "sigma-aut" checks bracket compatibility and the order-2 property in
     both sectors.  ``b`` defaults to the symbolic parameter b.
     """
-    if which == "delta":
-        return _check_delta(window)
-    if which == "delta-roundtrip":
-        return _check_delta_roundtrip(window)
-    if which == "varpi":
-        return _check_varpi(window)
-    if which == "sigma-b":
-        return _check_sigma_b(window, Scalar.parameter("b") if b is None else b)
-    if which == "sigma-aut":
-        return _check_sigma_aut(window)
-    raise ValueError(f"unknown map {which!r}; expected one of {HOM_CHECK_KINDS}")
+    if which not in _CHECKS:
+        raise ValueError(f"unknown map {which!r}; expected one of {HOM_CHECK_KINDS}")
+    return _CHECKS[which](window, b)
 
 
-def _bracket_pairs(report: VerificationReport, sector: int, xs, ys,
-                   images: dict, realize, op) -> None:
-    """Check op(f(x), f(y)) == f([x, y]) for every x in xs, y in ys.
+def _bracket_pairs(report: VerificationReport, xs: dict, ys: dict,
+                   rhs, op) -> None:
+    """Check op(f(x), f(y)) == rhs(x, y) for every x in xs, y in ys.
 
-    ``images`` holds f of each basis generator and ``realize`` is f itself,
-    applied to the bracket; each pair is one case, each mismatch one
-    violation.
+    ``xs`` and ``ys`` map each basis element, a generator's basis vector or
+    a monomial t^k theta^eps, to its image under f, and ``rhs(x, y)`` is
+    f([x, y]); each pair is one case, each mismatch one violation.
     """
-    for gx in xs:
-        x = LieVector.basis(gx, sector)
-        for gy in ys:
+    for x, fx in xs.items():
+        for y, fy in ys.items():
             report.checked += 1
-            lhs = op(images[gx], images[gy])
-            rhs = realize(bracket(x, LieVector.basis(gy, sector)))
-            if lhs != rhs:
-                report.violations.append(_pair_violation(gx, gy, lhs, rhs))
+            lhs = op(fx, fy)
+            want = rhs(x, y)
+            if lhs != want:
+                report.violations.append(
+                    {"x": str(x), "y": str(y), "lhs": str(lhs), "rhs": str(want)})
+
+
+def _round_trip(report: VerificationReport, sector: int, x: LieVector,
+                back: LieVector, key: str) -> None:
+    """One case: ``back``, x mapped there and back, must be x again."""
+    report.checked += 1
+    if back != x:
+        report.violations.append(
+            {"sector": render_sector(sector), "generator": str(x), key: back.render()})
+
+
+def _basis(sector: int, window: int) -> list[LieVector]:
+    return [LieVector.basis(g, sector) for g in algebra_generators(sector, window)]
 
 
 def _check_delta(window: int) -> VerificationReport:
-    gens = algebra_generators(1, window)
     report = VerificationReport(
         "hom-delta", {"window": window, "from": "1/2", "to": "0"})
-    images = {g: apply_delta(LieVector.basis(g, 1)) for g in gens}
-    _bracket_pairs(report, 1, gens, gens, images, apply_delta, bracket)
+    images = {x: apply_delta(x) for x in _basis(1, window)}
+    _bracket_pairs(report, images, images,
+                   lambda x, y: apply_delta(bracket(x, y)), bracket)
     return report
 
 
 def _check_delta_roundtrip(window: int) -> VerificationReport:
     report = VerificationReport("hom-delta-roundtrip", {"window": window})
     for sector in (1, 0):
-        for gen in algebra_generators(sector, window):
-            x = LieVector.basis(gen, sector)
-            report.checked += 1
-            back = apply_delta(apply_delta(x))
-            if back != x:
-                report.violations.append({
-                    "sector": render_sector(sector),
-                    "generator": render_generator(gen),
-                    "roundtrip": back.render(),
-                })
+        for x in _basis(sector, window):
+            _round_trip(report, sector, x, apply_delta(apply_delta(x)), "roundtrip")
     return report
 
 
 def _check_varpi(window: int) -> VerificationReport:
-    gens = algebra_generators(0, window)
     report = VerificationReport("hom-varpi", {"window": window, "sector": "0"})
-    images = {g: apply_varpi(LieVector.basis(g, 0)) for g in gens}
+    images = {x: apply_varpi(x) for x in _basis(0, window)}
     # C realizes as zero, and supercommutator vanishes on a zero argument
-    _bracket_pairs(report, 0, gens, gens, images, apply_varpi,
-                   SDElement.supercommutator)
+    _bracket_pairs(report, images, images,
+                   lambda x, y: apply_varpi(bracket(x, y)), SDElement.supercommutator)
     return report
 
 
 def _check_sigma_b(window: int, b: Scalar) -> VerificationReport:
-    gens = algebra_generators(0, window)
-    fns = []
-    for k in range(-window, window + 1):
-        fns.append(SuperLaurent.monomial(k, 0))
-        fns.append(SuperLaurent.monomial(k, 1))
     report = VerificationReport(
         "hom-sigma-b", {"window": window, "sector": "0", "b": str(b)})
-    lie_images = {g: apply_sigma_b(LieVector.basis(g, 0), b) for g in gens}
-    for gx in gens:
-        x = LieVector.basis(gx, 0)
-        px = parity(gx.kind)
-        # Lie/Lie pairs (C realizes as zero)
-        _bracket_pairs(report, 0, [gx], gens, lie_images,
-                       lambda v: apply_sigma_b(v, b), SDElement.supercommutator)
-        # Lie/function pairs, both orders
-        for f in fns:
-            report.checked += 2
-            pf = f.parity()
-            action = apply_varpi(x).apply(f)  # the semidirect-product bracket
-            lhs = lie_images[gx].supercommutator(apply_sigma_b(f, b))
-            rhs = apply_sigma_b(action, b)
-            if lhs != rhs:
-                report.violations.append({
-                    "x": render_generator(gx), "y": str(f),
-                    "lhs": str(lhs), "rhs": str(rhs)})
+    fns = [SuperLaurent.monomial(k, th)
+           for k in range(-window, window + 1) for th in (0, 1)]
+    images = {x: apply_sigma_b(x, b) for x in _basis(0, window) + fns}
+
+    def rhs(x, y) -> SDElement:
+        if isinstance(x, SuperLaurent):
+            if isinstance(y, SuperLaurent):
+                return SDElement()  # Laurent superfunctions supercommute
             # [f, x] = -(-1)^{|f||x|} x.f
-            lhs = apply_sigma_b(f, b).supercommutator(lie_images[gx])
-            sign = -1 if (px and pf) else 1
-            rhs = apply_sigma_b(action, b).scale(-sign)
-            if lhs != rhs:
-                report.violations.append({
-                    "x": str(f), "y": render_generator(gx),
-                    "lhs": str(lhs), "rhs": str(rhs)})
-    # function/function pairs supercommute to zero
-    for f in fns:
-        for g in fns:
-            report.checked += 1
-            lhs = apply_sigma_b(f, b).supercommutator(apply_sigma_b(g, b))
-            if not lhs.is_zero:
-                report.violations.append({"x": str(f), "y": str(g),
-                                          "lhs": str(lhs), "rhs": "0"})
+            return rhs(y, x).scale(1 if x.parity() and y.parity() else -1)
+        # C realizes as zero; [x, f] = x.f is the semidirect-product bracket
+        z = bracket(x, y) if isinstance(y, LieVector) else apply_varpi(x).apply(y)
+        return apply_sigma_b(z, b)
+
+    _bracket_pairs(report, images, images, rhs, SDElement.supercommutator)
     return report
 
 
@@ -291,26 +262,21 @@ def _check_sigma_aut(window: int) -> VerificationReport:
     report = VerificationReport(
         "hom-sigma-aut", {"window": window, "sectors": ["0", "1/2"]})
     for sector in (0, 1):
-        gens = algebra_generators(sector, window)
-        images = {g: apply_sigma_aut(LieVector.basis(g, sector)) for g in gens}
-        for gx in gens:
-            report.checked += 1
-            twice = apply_sigma_aut(images[gx])
-            if twice != LieVector.basis(gx, sector):
-                report.violations.append({
-                    "sector": render_sector(sector),
-                    "generator": render_generator(gx),
-                    "value": twice.render(),
-                })
-            _bracket_pairs(report, sector, [gx], gens, images,
-                           apply_sigma_aut, bracket)
+        images = {x: apply_sigma_aut(x) for x in _basis(sector, window)}
+        for x, fx in images.items():
+            _round_trip(report, sector, x, apply_sigma_aut(fx), "value")
+            _bracket_pairs(report, {x: fx}, images,
+                           lambda u, v: apply_sigma_aut(bracket(u, v)), bracket)
     return report
 
 
-def _pair_violation(gx: Generator, gy: Generator, lhs, rhs) -> dict:
-    return {
-        "x": render_generator(gx),
-        "y": render_generator(gy),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
+#: each map's checker, by the name ``hom_check`` takes
+_CHECKS = {
+    "delta": lambda window, b: _check_delta(window),
+    "delta-roundtrip": lambda window, b: _check_delta_roundtrip(window),
+    "varpi": lambda window, b: _check_varpi(window),
+    "sigma-b": lambda window, b: _check_sigma_b(
+        window, Scalar.parameter("b") if b is None else b),
+    "sigma-aut": lambda window, b: _check_sigma_aut(window),
+}
+HOM_CHECK_KINDS = tuple(_CHECKS)

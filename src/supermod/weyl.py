@@ -205,16 +205,9 @@ class SuperLaurent(LinComb):
         return None
 
     def render(self) -> str:
-        def text(n: int, th: int) -> str:
-            parts = []
-            if n:
-                parts.append(f"t^{n}" if n != 1 else "t")
-            if th:
-                parts.append("theta")
-            return "*".join(parts) if parts else "1"
-
         return render_linear(
-            (self._terms[m], text(*m)) for m in sorted(self._terms))
+            (self._terms[(n, th)], _word_text((n, 0, CF_THETA if th else CF_ONE)))
+            for n, th in sorted(self._terms))
 
     def __repr__(self) -> str:
         return f"SuperLaurent({self.render()!r})"

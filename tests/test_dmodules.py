@@ -208,6 +208,18 @@ def test_token_text_round_trip(spec, texts):
         assert render_token(spec, tok) == text
 
 
+def test_family_boundaries():
+    lau, om = LaurentModule("a"), OmegaModule("lam")
+    with pytest.raises(ValueError, match="does not match"):
+        render_token(om, lau.token(1))
+    # equality reads the canonical spec, not the spelling
+    assert LaurentModule("a") == LaurentModule("2*a/2")
+    assert LaurentModule(2) != OmegaModule(2)
+    assert LaurentModule(1) != DegreeModule(1)
+    assert (FractionModule(["a", "1"], ["0", "1"])
+            != FractionModule(["a", "1"], ["0", "2"]))
+
+
 def test_token_parse_rejects_foreign_text():
     fr = FractionModule(["a0", "a1"], [0, 1])
     for bad in ["D^1", "t^1*d^0", "(t-2)^-1", "(t-1)^2", "t^", "q^3"]:

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from supermod import morphisms
-from supermod.liealg import Generator, LieVector, bracket
+from supermod.liealg import Generator, LieVector, algebra_generators, bracket
 from supermod.morphisms import (
     apply_delta,
     apply_sigma_aut,
@@ -183,3 +184,22 @@ def test_bracket_loop_catches_a_doubled_map(monkeypatch, which, name):
     assert len(hits) == (2 if which == "sigma-aut" else 1)
     for v in hits:
         assert set(v) == {"x", "y", "lhs", "rhs"} and v["lhs"] != v["rhs"]
+
+
+def test_sigma_b_function_pairs_are_checked(monkeypatch):
+    # t^n theta -> (n + 2) t^n theta keeps functions supercommuting but breaks
+    # [x, f] = x.f, so only the generator/function pairs fail, in both orders
+    original = morphisms.apply_sigma_b
+
+    def skewed(x, b):
+        if isinstance(x, SuperLaurent):
+            x = SuperLaurent({(n, th): c * (n + 2) if th else c
+                              for (n, th), c in x.items()})
+        return original(x, b)
+
+    monkeypatch.setattr(morphisms, "apply_sigma_b", skewed)
+    report = hom_check("sigma-b", 1)
+    assert report.checked == 361
+    gens = {str(lv(g.kind, g.index2, 0)) for g in algebra_generators(0, 1)}
+    shapes = Counter((v["x"] in gens, v["y"] in gens) for v in report.violations)
+    assert shapes == {(True, False): 23, (False, True): 23}

@@ -221,3 +221,7 @@ def test_render_pins_each_word_shape():
         "-1/3 - theta*dtheta")
     assert str(w(-1, 1, CF_N, 1 + b)) == "(b + 1)*t^-1*D*theta*dtheta"
     assert str(SDElement()) == "0"
+    # they name Laurent superfunctions through SuperLaurent.render
+    f = SuperLaurent.monomial
+    assert [str(f(0)), str(f(1)), str(f(-2, 1)), str(f(0, 1, 2))] == [
+        "1", "t", "t^-2*theta", "2*theta"]
