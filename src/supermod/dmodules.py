@@ -556,10 +556,19 @@ def spec_from_json(data: dict | str) -> DModule:
     return cls(*(_spec_field(data, name, family == "fraction") for name in fields))
 
 
+def _degree_module(n: int | str) -> DegreeModule:
+    try:
+        n = int(n)
+    except ValueError:
+        raise ValueError(f"module spec field 'n' must be an integer, "
+                         f"got {json.dumps(n)}") from None
+    return DegreeModule(n)
+
+
 #: each family's class and its own spec fields, as its to_json writes them
 _SPECS = {"laurent": (LaurentModule, "alpha"), "omega": (OmegaModule, "lambda"),
           "fraction": (FractionModule, "alphas", "betas"),
-          "degree": (lambda n: DegreeModule(int(n)), "n")}
+          "degree": (_degree_module, "n")}
 
 
 def _spec_field(data: dict, name: str, listed: bool = False):

@@ -8,15 +8,17 @@ value is plain integer arithmetic: the axiom suite's operands are almost
 all integer polynomials over unit denominators, and arithmetic over QQ
 spends its time on a gcd per coefficient operation.
 
-A parameter-free value, such as every coefficient of a check at a rational
-point like ``b = 1/3``, is held as two Python ints p/r, coprime with r > 0,
-and computed on in plain int arithmetic; no polynomial ring is built for it,
-and sympy, which supplies the rings, is imported only when the first ring
-is built (``_get_ring``), so a parameter-free check never loads it.  A
-rational p/r meets a symbolic num/den in the symbolic value's own
-ring (``num.mul_ground(p)`` over ``den.mul_ground(r)``), two constant
-denominators meet at their lcm, and a product with a factor of one or zero
-returns without arithmetic.  A symbolic value that cancels to a rational,
+A symbolic value's num and den are plain dicts {exponent tuple: int} over
+its sorted parameter tuple, and sums, products, negation and powers run in
+a small sparse kernel of module functions (``_padd``, ``_pmul``, ...): the
+checks' operands have a few terms each, and on those a dict loop costs
+less than a sympy ring's per-call checks.  A parameter-free value, such as
+every coefficient of a check at a rational point like ``b = 1/3``, is held
+as two Python ints p/r, coprime with r > 0, and computed on in plain int
+arithmetic.  A rational p/r meets a symbolic num/den by scaling
+(``_pscale(num, p)`` over ``_pscale(den, r)``), two constant denominators
+meet at their lcm, and a product with a factor of one or zero returns
+without arithmetic.  A symbolic value that cancels to a rational,
 such as ``a/a``, stays in polynomial form but is equal to, hashes like and
 prints like the parameter-free value.
 
@@ -32,9 +34,11 @@ its module's parameters over it (``Scalar.over``), so a check lifts only
 where values enter: parsing and specialization.
 
 The representation is lazy.  Sums and products keep an unreduced num/den
-pair (sparse polynomial arithmetic only, via sympy's polys rings), and the
-gcd cancellation needed for a canonical form runs only where canonical data
-is actually required: hashing, printing and specialization.  The canonical
+pair, and the gcd cancellation needed for a canonical form runs only where
+canonical data is actually required: hashing, printing and specialization.
+Where num or den is a constant the content gcd alone cancels; only the gcd
+of two non-constant polynomials goes to sympy, which is imported then
+(``_get_ring``) and never for a parameter-free value.  The canonical
 form is the reduced fraction with coprime integer content across
 numerator and denominator and a positive leading coefficient of the
 denominator (lex order over the sorted parameter list).  Two equal scalars
@@ -91,8 +95,113 @@ class ScalarParseError(ScalarError, ValueError):
     """Text that does not match the scalar grammar."""
 
 
-# One polynomial ring per sorted parameter tuple, shared by every Scalar
-# over it; a handle keeps all its values over one tuple (``Scalar.over``).
+# ----------------------------------------------------------------------
+# the sparse polynomial kernel
+#
+# A polynomial of ZZ[p1, ..., pk] is a dict {exponent tuple: int} with no
+# zero coefficient stored; the zero polynomial is {}.  No kernel function
+# mutates its arguments: a Scalar shares its dicts with the values built
+# from it.
+
+# One exponent-tuple sum per arity, unrolled as sympy's MonomialOps builds
+# it: a generic tuple(map(...)) doubles the time of a symbolic probe.
+_MONOMIAL_MUL: dict[int, object] = {}
+
+
+def _monomial_mul(arity: int):
+    try:
+        return _MONOMIAL_MUL[arity]
+    except KeyError:
+        body = "".join(f"a[{i}] + b[{i}], " for i in range(arity))
+        add = _MONOMIAL_MUL[arity] = eval(f"lambda a, b: ({body})")
+        return add
+
+
+def _padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for mon, coeff in b.items():
+        coeff += out.get(mon, 0)
+        if coeff:
+            out[mon] = coeff
+        else:
+            del out[mon]
+    return out
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a
+    add = _monomial_mul(len(next(iter(a))))
+    if len(b) == 1:
+        # a shift by one monomial cannot merge terms
+        [(mb, cb)] = b.items()
+        return {add(ma, mb): ca * cb for ma, ca in a.items()}
+    out: dict = {}
+    get = out.get
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            mon = add(ma, mb)
+            out[mon] = get(mon, 0) + ca * cb
+    return {mon: coeff for mon, coeff in out.items() if coeff}
+
+
+def _pneg(a: dict) -> dict:
+    return {mon: -coeff for mon, coeff in a.items()}
+
+
+def _pscale(a: dict, k: int) -> dict:
+    """``a`` times a nonzero int (sympy's ``mul_ground``)."""
+    return {mon: coeff * k for mon, coeff in a.items()}
+
+
+def _ppow(a: dict, k: int) -> dict:
+    """``a ** k`` for k >= 1: one term directly, else square-and-multiply."""
+    if len(a) == 1:
+        [(mon, coeff)] = a.items()
+        return {tuple(e * k for e in mon): coeff ** k}
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _pmul(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = _pmul(a, a)
+
+
+def _terms(a: dict) -> list:
+    """The (monomial, coefficient) pairs in descending lex order, as
+    sympy's ``terms()`` lists them: rendering and hashing read this."""
+    return sorted(a.items(), reverse=True)
+
+
+def _lc(a: dict) -> int:
+    """The leading coefficient in lex order; 0 for the zero polynomial."""
+    return a[max(a)] if a else 0
+
+
+def _ground(a: dict):
+    """The integer a constant polynomial equals, else None."""
+    if len(a) == 1:
+        for mon, coeff in a.items():
+            return None if any(mon) else coeff
+    return None
+
+
+def _lift(poly: dict, old_names: tuple[str, ...], new_names: tuple[str, ...]) -> dict:
+    """Re-express ``poly`` from ZZ[old_names] in ZZ[new_names]; names that
+    ``new_names`` lacks must not occur in it."""
+    if old_names == new_names:
+        return poly
+    pos = [old_names.index(n) if n in old_names else None for n in new_names]
+    return {tuple(0 if i is None else mon[i] for i in pos): coeff
+            for mon, coeff in poly.items()}
+
+
+# One sympy ring per sorted parameter tuple, for the polynomial gcd of
+# ``_canonical``, the one job the kernel leaves to sympy.
 _RING_CACHE: dict[tuple[str, ...], object] = {}
 
 
@@ -101,32 +210,32 @@ def _get_ring(names: tuple[str, ...]):
         return _RING_CACHE[names]
     except KeyError:
         pass
-    # the only sympy import: a parameter-free value never needs a ring
+    # the only sympy import: a value with a constant side never needs it
     from sympy.polys.domains import ZZ
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
 
-    made = ring(",".join(names), ZZ, lex)
-    # sympy returns (ring,) for an empty name list and (ring, *gens) otherwise
-    rng = made[0] if isinstance(made, tuple) else made
-    _RING_CACHE[names] = rng
+    # sympy returns (ring, *gens)
+    rng = _RING_CACHE[names] = ring(",".join(names), ZZ, lex)[0]
     return rng
 
 
-def _lift(poly, old_names: tuple[str, ...], new_names: tuple[str, ...]):
-    """Re-express ``poly`` from ZZ[old_names] in ZZ[new_names]; names that
-    ``new_names`` lacks must not occur in it."""
-    if old_names == new_names:
-        return poly
-    pos = [old_names.index(n) if n in old_names else None for n in new_names]
-    return _get_ring(new_names).from_dict(
-        {tuple(0 if i is None else mon[i] for i in pos): coeff
-         for mon, coeff in poly.terms()})
-
-
-def _ground(poly):
-    """The integer a constant polynomial equals, else None."""
-    return poly.get(poly.ring.zero_monom) if len(poly) == 1 else None
+def _cancel(num: dict, den: dict, names: tuple[str, ...]) -> tuple[dict, dict]:
+    """num/den over ZZ[names] divided by their gcd, with coprime integer
+    content and a positive leading coefficient of the denominator."""
+    if _ground(num) is None and _ground(den) is None:
+        rng = _get_ring(names)
+        _, num, den = rng.from_dict(num).cofactors(rng.from_dict(den))
+        num = {mon: int(coeff) for mon, coeff in num.items()}
+        den = {mon: int(coeff) for mon, coeff in den.items()}
+    # the content gcd cancels the rest, all of the gcd where a side is constant
+    content = math.gcd(*num.values(), *den.values())
+    if _lc(den) < 0:
+        content = -content
+    if content != 1:
+        num = {mon: coeff // content for mon, coeff in num.items()}
+        den = {mon: coeff // content for mon, coeff in den.items()}
+    return num, den
 
 
 def _to_fraction(value) -> Fraction:
@@ -157,7 +266,7 @@ class Scalar:
     A parameter-free value has ``_names == ()`` and its numerator and
     positive denominator, coprime ints, in ``_p`` and ``_r``; any other
     value has ``_p`` and ``_r`` None and the integer polynomials
-    ``_n``/``_d`` over the sorted parameter tuple ``_names``.
+    ``_n``/``_d``, kernel dicts over the sorted parameter tuple ``_names``.
     """
 
     __slots__ = ("_names", "_p", "_r", "_n", "_d", "_canon")
@@ -171,17 +280,11 @@ class Scalar:
         self._d = den
         self._canon = None
 
-    def _polys(self):
-        """(num, den) as polynomials; a rational builds its ground pair once."""
-        if self._n is None:
-            rng = _get_ring(())
-            self._n, self._d = rng.ground_new(self._p), rng.ground_new(self._r)
-        return self._n, self._d
-
-    # the pair as attributes, as perfbench's layer tracer reads it; on a
-    # rational this builds the ground pair, and so imports sympy
-    _num = property(lambda self: self._polys()[0])
-    _den = property(lambda self: self._polys()[1])
+    # the pair as attributes, as perfbench's layer tracer reads it; a
+    # rational reads as constant polynomials, built without a ring
+    _num = property(lambda self: self._n if self._p is None
+                    else {(): self._p} if self._p else {})
+    _den = property(lambda self: self._d if self._p is None else {(): self._r})
 
     # ------------------------------------------------------------------
     # constructors
@@ -194,9 +297,7 @@ class Scalar:
             raise ScalarParseError(
                 f"{name!r} is a reserved operator identifier and cannot name a parameter"
             )
-        names = (name,)
-        rng = _get_ring(names)
-        return Scalar(names, rng.gens[0], rng.one)
+        return Scalar((name,), {(1,): 1}, {(0,): 1})
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -233,8 +334,8 @@ class Scalar:
     # unit denominators a sum or product is one int operation, a sum
     # reduces through gcd(r, s) and a product cross-reduces by gcd(p, s)
     # and gcd(q, r), so every result is coprime without a full gcd.  A
-    # rational p/r meets an integer polynomial pair num/den through
-    # mul_ground by p and r, in the other operand's own ring; only two
+    # rational p/r meets an integer polynomial pair num/den by scaling
+    # with p and r, over the other operand's names; only two
     # polynomial operands are unified, and a constant denominator is
     # scaled by, never multiplied as, a polynomial.  -, / and == (parsing
     # and the catalog's comparisons) are derived from them.
@@ -246,13 +347,14 @@ class Scalar:
             if other._p is None:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
-                    return Scalar(names, na + nb, da)
+                    return Scalar(names, _padd(na, nb), da)
                 ca, cb = _ground(da), _ground(db)
                 if ca is None or cb is None:
-                    return Scalar(names, na * db + nb * da, da * db)
+                    return Scalar(names, _padd(_pmul(na, db), _pmul(nb, da)),
+                                  _pmul(da, db))
                 lcm = math.lcm(ca, cb)
-                num = na.mul_ground(lcm // ca) + nb.mul_ground(lcm // cb)
-                return Scalar(names, num, da.ring.ground_new(lcm))
+                num = _padd(_pscale(na, lcm // ca), _pscale(nb, lcm // cb))
+                return Scalar(names, num, _pscale(da, lcm // ca))
             self, other = other, self
         p, r = self._p, self._r
         if not p:
@@ -271,8 +373,8 @@ class Scalar:
             return _rational(num // h, r * s * (g // h))
         num, den = other._n, other._d
         if r != 1:
-            num, den = num.mul_ground(r), den.mul_ground(r)
-        return Scalar(other._names, num + other._d.mul_ground(p), den)
+            num, den = _pscale(num, r), _pscale(den, r)
+        return Scalar(other._names, _padd(num, _pscale(other._d, p)), den)
 
     __radd__ = __add__
 
@@ -292,9 +394,9 @@ class Scalar:
                 # product, and scale by a constant rather than multiply
                 ca, cb = _ground(da), _ground(db)
                 den = (db if ca == 1 else da if cb == 1
-                       else db.mul_ground(ca) if ca is not None
-                       else da.mul_ground(cb) if cb is not None else da * db)
-                return Scalar(names, na * nb, den)
+                       else _pscale(db, ca) if ca is not None
+                       else _pscale(da, cb) if cb is not None else _pmul(da, db))
+                return Scalar(names, _pmul(na, nb), den)
             self, other = other, self
         p, r = self._p, self._r
         if p == r:
@@ -305,8 +407,8 @@ class Scalar:
         if q is None:
             den = other._d
             if r != 1:
-                den = den.mul_ground(r)
-            return Scalar(other._names, other._n.mul_ground(p), den)
+                den = _pscale(den, r)
+            return Scalar(other._names, _pscale(other._n, p), den)
         s = other._r
         if q == s:
             return self
@@ -329,7 +431,7 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self._p is not None:
             return _rational(-self._p, self._r)
-        return Scalar(self._names, -self._n, self._d)
+        return Scalar(self._names, _pneg(self._n), self._d)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
@@ -346,9 +448,10 @@ class Scalar:
                 if r < 0:
                     p, r = -p, -r
             return _rational(p ** exponent, r ** exponent)
+        num, den = self._n, self._d
         if exponent < 0:
-            return Scalar(self._names, self._d ** -exponent, self._n ** -exponent)
-        return Scalar(self._names, self._n ** exponent, self._d ** exponent)
+            num, den, exponent = den, num, -exponent
+        return Scalar(self._names, _ppow(num, exponent), _ppow(den, exponent))
 
     # ------------------------------------------------------------------
     # predicates and comparisons
@@ -371,7 +474,7 @@ class Scalar:
         if self._p is None:
             names, num, den = self._canonical()
             if names:
-                return hash((names, tuple(num.terms()), tuple(den.terms())))
+                return hash((names, tuple(_terms(num)), tuple(_terms(den))))
         return hash(self.as_fraction())
 
     # ------------------------------------------------------------------
@@ -381,23 +484,13 @@ class Scalar:
         """Reduced, content-normalized (names, num, den) with shrunk names."""
         if self._canon is not None:
             return self._canon
-        num, den = self._polys()
         names = self._names
-        if not num:
-            rng = _get_ring(())
-            self._canon = ((), rng.zero, rng.one)
+        if not self._n:
+            self._canon = ((), {}, {(): 1})
             return self._canon
-        g = num.gcd(den)
-        num, den = num.exquo(g), den.exquo(g)
-        content = math.gcd(*num.itercoeffs(), *den.itercoeffs())
-        if content != 1:
-            num, den = num.exquo_ground(content), den.exquo_ground(content)
-        if den.LC < 0:
-            num, den = -num, -den
+        num, den = _cancel(self._n, self._d, names)
         used = set()
-        for mon, _ in num.terms():
-            used.update(i for i, e in enumerate(mon) if e)
-        for mon, _ in den.terms():
+        for mon in (*num, *den):
             used.update(i for i, e in enumerate(mon) if e)
         if len(used) < len(names):
             kept = tuple(names[i] for i in sorted(used))
@@ -424,7 +517,7 @@ class Scalar:
         names, num, den = self._canonical()
         if names:
             raise ScalarError(f"scalar {self} is not a rational number")
-        return Fraction(int(num.LC), int(den.LC))
+        return Fraction(_lc(num), _lc(den))
 
     # ------------------------------------------------------------------
     # specialization
@@ -443,7 +536,7 @@ class Scalar:
         names, num, den = self._canonical()
         if not names:
             # canonical: coprime integer content, positive denominator
-            return _rational(int(num.LC), int(den.LC))
+            return _rational(_lc(num), _lc(den))
         assign = {}
         for name, value in assignments.items():
             if name in names:
@@ -462,8 +555,8 @@ class Scalar:
         # clear the rational values' denominators together, back into ZZ[kept]
         parts = (new_num, new_den)
         scale = math.lcm(*(v.denominator for part in parts for v in part.values()))
-        num, den = (_get_ring(kept).from_dict(
-            {k: (v * scale).numerator for k, v in part.items()}) for part in parts)
+        num, den = ({k: (v * scale).numerator for k, v in part.items()}
+                    for part in parts)
         return Scalar(kept, num, den)
 
     # ------------------------------------------------------------------
@@ -477,10 +570,10 @@ class Scalar:
         if not num:
             return "0"
         num_text = _poly_text(num, names)
-        if den == _get_ring(names).one:
+        if _ground(den) == 1:
             return num_text
         den_text = _poly_text(den, names)
-        if len(num.terms()) > 1 and not num_text.startswith("-("):
+        if len(num) > 1 and not num_text.startswith("-("):
             num_text = f"({num_text})"
         # a canonical denominator has a positive leading coefficient and
         # integer coefficients: it needs parentheses exactly when it is a
@@ -503,7 +596,7 @@ def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],
     names."""
     kept_idx = [names.index(n) for n in kept]
     data: dict[tuple[int, ...], object] = {}
-    for mon, coeff in poly.terms():
+    for mon, coeff in poly.items():
         value = Fraction(coeff)
         for i, name in enumerate(names):
             exp = mon[i]
@@ -528,9 +621,8 @@ def _monomial_text(mon: tuple[int, ...], names: tuple[str, ...]) -> str:
     return "*".join(parts)
 
 
-def _term_text(coeff, mon: tuple[int, ...], names: tuple[str, ...]) -> str:
+def _term_text(c: int, mon: tuple[int, ...], names: tuple[str, ...]) -> str:
     mono = _monomial_text(mon, names)
-    c = int(coeff.numerator)  # canonical coefficients are integers
     if not mono:
         return str(c)
     if c == 1:
@@ -541,9 +633,9 @@ def _term_text(coeff, mon: tuple[int, ...], names: tuple[str, ...]) -> str:
 
 
 def _poly_text(poly, names: tuple[str, ...]) -> str:
-    terms = poly.terms()
+    terms = _terms(poly)
     if all(coeff < 0 for _, coeff in terms):
-        body = _poly_text(-poly, names)
+        body = _poly_text(_pneg(poly), names)
         if len(terms) > 1:
             return f"-({body})"
         return f"-{body}"

@@ -223,6 +223,8 @@ def test_printed_vectors_reparse_to_equal_values(capsys):
 
 #: the full diagnostic, where the input's own text must read back plainly
 EXACT_ERRORS = {
+    "spec-n-not-integer":
+        "error: module spec field 'n' must be an integer, got \"x\"\n",
     "spec-repeated-pole": "error: poles must be distinct, got 0, 0\n",
     "generator-zero-denominator":
         "error: index 1/0 has a zero denominator in 'L[1/0]'\n",
@@ -245,6 +247,7 @@ EXACT_ERRORS = {
         '{"family":"laurent","alpha":1.5}',
         '{"family":"omega","lambda":true}',
         '{"family":"degree","n":[2]}',
+        '{"family":"degree","n":"x"}',
         '{"family":"fraction","alphas":5,"betas":["0"]}',
         '{"family":"fraction","alphas":"ab","betas":["0","1"]}',
         '{"family":"fraction","alphas":["a",null],"betas":["0","1"]}',
@@ -261,7 +264,7 @@ EXACT_ERRORS = {
 ], ids=["algebra-window-0", "morphism-window-negative",
         "action-table-window-negative", "specialize-zero-denominator",
         "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
-        "spec-lambda-bool", "spec-n-list", "spec-alphas-int",
+        "spec-lambda-bool", "spec-n-list", "spec-n-not-integer", "spec-alphas-int",
         "spec-alphas-string", "spec-alphas-null-entry", "spec-extra-field",
         "spec-repeated-pole", "specialize-duplicate-name",
         "generator-zero-denominator", "vector-zero-denominator",
@@ -370,7 +373,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# sympy stays unloaded until a polynomial ring is needed
+# sympy stays unloaded until a polynomial gcd is needed
 
 _SYMPY_PROBE = """
 import contextlib, io, sys
@@ -393,6 +396,9 @@ print(codes, "sympy" in sys.modules)
 codes.append(run("act", "--module", LAURENT, "--b", "b", "--generator", "L[1]",
                  "--vector", "t^0"))
 print(codes, "sympy" in sys.modules)
+codes.append(run("act", "--module", '{"family":"omega","lambda":"l"}', "--b", "b",
+                 "--generator", "L[-1]", "--vector", "D^1"))
+print(codes, "sympy" in sys.modules)
 """
 
 
@@ -404,7 +410,10 @@ def test_parameter_free_commands_do_not_import_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    rational, symbolic = done.stdout.splitlines()
-    # every call passes, and sympy arrives with the first symbolic one
+    rational, polynomial, fraction = done.stdout.splitlines()
+    # every call passes; a symbolic act over polynomials stays in the int
+    # kernel, and sympy arrives with the first gcd of two non-constant
+    # polynomials, here (b - 1)/l
     assert rational == "[0, 0, 0, 0, 0] False"
-    assert symbolic == "[0, 0, 0, 0, 0, 0] True"
+    assert polynomial == "[0, 0, 0, 0, 0, 0] False"
+    assert fraction == "[0, 0, 0, 0, 0, 0, 0] True"

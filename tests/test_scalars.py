@@ -1,14 +1,21 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from supermod.dmodules import LaurentModule, ModuleVector, OmegaModule
+from supermod import scalars as kernel
 from supermod.liealg import Generator, LieVector
 from supermod.scalars import (
     ONE,
@@ -236,10 +243,15 @@ def test_sums_products_and_specialization_match_sympy(x, y, p, q):
         assert _same(x.specialize(point), num.subs(subs) / den.subs(subs))
 
 
+def _assert_int_coefficients(*polys):
+    for poly in polys:
+        assert all(type(c) is int and c for c in poly.values())
+
+
 def _assert_canonical_over_zz(x):
     _, num, den = x._canonical()
-    assert num.ring.domain == ZZ and den.ring.domain == ZZ
-    assert math.gcd(*num.coeffs(), *den.coeffs()) == 1 and den.LC > 0
+    _assert_int_coefficients(num, den)
+    assert math.gcd(*num.values(), *den.values()) == 1 and den[max(den)] > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +259,7 @@ def _assert_canonical_over_zz(x):
 def test_canonical_form_is_primitive_over_zz(x, y):
     for value in (x, x + y, x * y, -x, (x / y if not y.is_zero else x)):
         if not _is_plain(value):
-            assert value._n.ring.domain == ZZ and value._d.ring.domain == ZZ
+            _assert_int_coefficients(value._n, value._d)
         _assert_canonical_over_zz(value)
     partial = ((a - b) / 4).specialize({"a": Fraction(1, 3)})
     assert str(partial) == "(-3*b + 1)/12"
@@ -440,9 +452,89 @@ def test_full_specialization_gives_plain_rational(x, q):
 
 def test_plain_rational_builds_ground_polynomials_on_demand():
     x = scalar(Fraction(-3, 4))
-    assert len(x._num) == 1 and len(x._den) == 1
-    assert len(ZERO._num) == 0
-    assert x == Fraction(-3, 4) and (x._num.LC, x._den.LC) == (-3, 4)
+    assert x._num == {(): -3} and x._den == {(): 4}
+    assert ZERO._num == {} and ZERO._den == {(): 1}
+    _assert_int_coefficients(x._num, x._den)
+    # reading the pair leaves the value parameter-free
+    assert x._n is None and x == Fraction(-3, 4)
+
+
+def test_reading_a_rational_pair_leaves_sympy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import sys\nfrom fractions import Fraction\n"
+              "from supermod.scalars import scalar\n"
+              "x = scalar(Fraction(-3, 4))\n"
+              "print(x._num, x._den, 'sympy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{(): -3} {(): 4} False"
+
+
+# ----------------------------------------------------------------------
+# the sparse polynomial kernel against sympy's rings, as an oracle only
+
+
+def _oracle_ring(names: tuple[str, ...]):
+    # sympy returns (ring,) for no names and (ring, *gens) otherwise
+    return ring(",".join(names), ZZ, lex)[0]
+
+
+def _from_oracle(poly) -> dict:
+    return {mon: int(c) for mon, c in poly.items()}
+
+
+@st.composite
+def poly_triples(draw):
+    """Three polynomials over one name tuple of 0-3 names; the small
+    exponents and coefficients make sums and products cancel often."""
+    names = ("a", "b", "c")[:draw(st.integers(min_value=0, max_value=3))]
+    mons = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(names))
+    coeffs = st.integers(min_value=-2, max_value=2).filter(bool)
+    polys = st.dictionaries(mons, coeffs, max_size=4)
+    return names, draw(polys), draw(polys), draw(polys)
+
+
+@_fixed
+@given(poly_triples(), st.integers(min_value=1, max_value=5))
+def test_kernel_matches_sympy_rings(triple, k):
+    names, a, b, c = triple
+    R = _oracle_ring(names)
+    pa, pb, pc = R.from_dict(a), R.from_dict(b), R.from_dict(c)
+    before = (dict(a), dict(b), dict(c))
+    pairs = [
+        (kernel._padd(a, b), pa + pb),
+        (kernel._padd(a, kernel._pneg(a)), R.zero),
+        (kernel._pmul(a, b), pa * pb),
+        (kernel._pmul(kernel._padd(a, c), kernel._padd(a, kernel._pneg(c))),
+         pa * pa - pc * pc),
+        (kernel._pneg(a), -pa),
+        (kernel._ppow(a, k), pa ** k),
+        (kernel._lift(a, names, ("A", *names, "z")),
+         pa.set_ring(_oracle_ring(("A", *names, "z")))),
+    ]
+    if a and b and c:
+        # a shared factor c: the canonical form must divide it out
+        num, den = _from_oracle(pa * pc), _from_oracle(pb * pc)
+        pairs += zip(kernel._cancel(num, den, names), (pa * pc).cancel(pb * pc))
+    for got, want in pairs:
+        _assert_int_coefficients(got)
+        assert got == _from_oracle(want)
+    assert (a, b, c) == before
+
+
+def test_kernel_drops_cancelled_terms():
+    up, down = {(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}
+    assert kernel._pmul(up, down) == {(2,): 1, (0,): -1}
+    assert kernel._padd(up, kernel._pneg(up)) == {}
+    assert kernel._pmul(up, {}) == {} and kernel._ppow(up, 2) == {
+        (2,): 1, (1,): 2, (0,): 1}
+    # both sides constant or one side constant: the content gcd alone
+    assert kernel._cancel({(0,): 4}, {(0,): -6}, ("b",)) == ({(0,): -2}, {(0,): 3})
+    assert kernel._cancel({(1,): 6, (0,): -2}, {(0,): -4}, ("b",)) == (
+        {(1,): -3, (0,): 1}, {(0,): 2})
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +556,9 @@ def symbolic_quotients(draw):
 @_fixed
 @given(symbolic_quotients(), symbolic_quotients())
 def test_unit_denominator_skip_matches_full_product(x, y):
-    full = Scalar(RING, x._n * y._n, x._d * y._d)
+    R = _oracle_ring(RING)
+    full = Scalar(RING, *(_from_oracle(R.from_dict(p) * R.from_dict(q))
+                          for p, q in ((x._n, y._n), (x._d, y._d))))
     got = x * y
     assert got._names == RING
     assert got == full and str(got) == str(full) and hash(got) == hash(full)
