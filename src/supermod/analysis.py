@@ -7,6 +7,14 @@ or rational-function coefficients.  A full-rank probe is therefore
 *evidence* for irreducibility, never proof; a rank gap, on the other hand,
 is an honest certificate that the seed fails to generate within the window.
 
+At a rational point a probe runs in integers: each word image of the
+module is cleared once to an integer vector over a denominator, vectors
+are held primitive, and elimination is fraction-free.  Scaling a vector by
+a nonzero rational changes neither its support nor whether it lies in a
+span, and the lead columns of an echelon basis depend only on the span,
+so rank, missing tokens and projected terms are those of the rational
+closure.  With parameters left the same closure runs over Scalars.
+
 The operator identities checked here are the two enveloping-algebra
 tricks that drive the degeneration analysis:
 
@@ -24,9 +32,10 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, render_vector
-from .functors import GModuleHandle, g_act
+from .functors import GModuleHandle, g_act, land
 from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
                      parity, render_generator)
 from .scalars import LinComb, ScalarError, SingularSpecializationError, scalar
@@ -119,50 +128,85 @@ def probe_seed() -> int:
 class _RowSpan:
     """A row-reduced span of vectors over a fixed, ordered token list.
 
-    Pivot rows are normalized to a unit pivot once and stored negated and
-    without it, so insertion and membership need one division per new
+    A vector is a ModuleVector or a plain {token: coefficient} dict.  The
+    keys of ``pivots`` are the lead columns of an echelon basis, which
+    depend only on the span, not on the order or scale of the vectors.
+    Here pivot rows are normalized to a unit pivot once and stored negated
+    and without it, so insertion and membership need one division per new
     pivot and multiply-add elsewhere; coefficients stay lazy fractions
-    throughout.
+    throughout.  :class:`_IntSpan` eliminates integer rows fraction-free.
     """
 
     def __init__(self, tokens: list[BasisToken]):
         self.index = {tok: i for i, tok in enumerate(tokens)}
-        self.pivots: dict[int, LinComb] = {}
+        self.pivots: dict[int, object] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, row: LinComb) -> LinComb:
+    def _to_row(self, vec) -> dict:
+        return {self.index[tok]: coeff for tok, coeff in vec.items()}
+
+    def _reduce(self, row: dict) -> dict:
+        row = LinComb(row)
         terms = row._terms
         while terms:
-            lead = min(terms)
-            pivot = self.pivots.get(lead)
+            pivot = self.pivots.get(lead := min(terms))
             if pivot is None:
-                return row
+                break
             row.add_scaled(pivot, terms.pop(lead))
-        return row
+        return terms
 
-    def _to_row(self, vec: ModuleVector) -> LinComb:
-        row = LinComb()
-        for tok, coeff in vec._terms.items():
-            idx = self.index.get(tok)
-            if idx is None:
-                raise KeyError(f"token outside the window: {tok}")
-            row.add_term(idx, coeff)
-        return row
+    def _pivot(self, row: dict, lead: int):
+        coeff = row.pop(lead)
+        return LinComb(row).scale(-(coeff ** -1))
 
-    def insert(self, vec: ModuleVector) -> bool:
+    def insert(self, vec) -> bool:
         """Add a vector to the span; True when the rank grew."""
         row = self._reduce(self._to_row(vec))
-        if row.is_zero:
+        if not row:
             return False
-        lead = min(row._terms)
-        self.pivots[lead] = row.scale(-(row._terms.pop(lead) ** -1))
+        lead = min(row)
+        self.pivots[lead] = self._pivot(row, lead)
         return True
 
-    def contains(self, vec: ModuleVector) -> bool:
-        return self._reduce(self._to_row(vec)).is_zero
+    def contains(self, vec) -> bool:
+        return not self._reduce(self._to_row(vec))
+
+
+class _IntSpan(_RowSpan):
+    """The span of integer vectors, eliminated fraction-free (Bareiss).
+
+    A pivot row is stored primitive, as its lead entry p and the rest.  A
+    row with lead entry a is reduced by cross-multiplying with the two
+    leads after dividing out their gcd g:  row * (p/g) - pivot * (a/g).
+    Every entry stays an int, and over QQ the span is the same.
+    """
+
+    def _reduce(self, row: dict) -> dict:
+        pivots = self.pivots
+        while row:
+            pivot = pivots.get(lead := min(row))
+            if pivot is None:
+                break
+            p, rest = pivot
+            a = row.pop(lead)
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                row = {col: v * p for col, v in row.items()}
+            for col, v in rest.items():
+                v = row.get(col, 0) - a * v
+                if v:
+                    row[col] = v
+                else:
+                    row.pop(col, None)
+        return row
+
+    def _pivot(self, row: dict, lead: int):
+        row = _primitive(row)
+        return row.pop(lead), row
 
 
 def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector, int]:
@@ -171,21 +215,6 @@ def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector,
     if len(kept) == len(vec):
         return vec, 0
     return vec._like(kept), len(vec) - len(kept)
-
-
-def _escaped_terms(handle: GModuleHandle, gen: Generator, vec: ModuleVector,
-                   outside: dict, allowed: set[BasisToken]) -> int:
-    """_project's dropped count for gen . vec (vec reduced), summed by linearity
-    from the out-of-window parts of the handle's images, kept in ``outside``."""
-    out = ModuleVector.zero()
-    for tok, c in vec._terms.items():
-        part = outside.get((gen, tok))
-        if part is None:
-            image = handle.image(gen, tok)
-            part = outside[gen, tok] = image._like(
-                {t: x for t, x in image._terms.items() if t not in allowed})
-        out.add_scaled(part, c)
-    return len(out)
 
 
 def _window_generators(sector: int, bound: int) -> list[tuple[Generator, LieVector]]:
@@ -258,6 +287,111 @@ def q_operator_check(handle: GModuleHandle, m: int, d: int,
 # ----------------------------------------------------------------------
 # span probes
 
+def _cleared(terms: dict, exact: bool) -> tuple[dict, int]:
+    """Rational coefficients over one denominator: ({key: int}, den) when
+    ``exact``, and the terms as they are, over 1, otherwise."""
+    if not exact:
+        return terms, 1
+    ratios = {key: c.as_integer_ratio() for key, c in terms.items()}
+    den = lcm(*(r for _, r in ratios.values()))
+    return {key: p * (den // r) for key, (p, r) in ratios.items()}, den
+
+
+def _primitive(vec: dict) -> dict:
+    g = gcd(*vec.values())
+    return {tok: c // g for tok, c in vec.items()} if g > 1 else vec
+
+
+class _WordCopy(dict):
+    """A probe's copy of its module's word table, and the action read from it.
+
+    ``copy[k, l, tok]`` is t^k D^l applied to tok, reduced and split at the
+    token window into (den, outside, inside), both parts cleared to ints
+    over den at a point (:func:`_cleared`).  Entries are filled on first
+    read from :meth:`DModule.word`.
+    """
+
+    def __init__(self, handle: GModuleHandle, tokens: list[BasisToken], exact: bool):
+        self.word, self.exact = handle.module.word, exact
+        self.allowed, self.killed = set(tokens), handle.killed_token
+        # where each Clifford unit c = 0..3 (see weyl) sends each window token
+        self.lands = {tok: [land(c, tok) for c in range(4)] for tok in tokens}
+
+    def __missing__(self, key):
+        terms, den = _cleared(self.word(*key)._terms, self.exact)
+        allowed, killed = self.allowed, self.killed
+        entry = self[key] = (
+            den, {t: x for t, x in terms.items() if t not in allowed and t != killed},
+            {t: x for t, x in terms.items() if t in allowed})
+        return entry
+
+    def act(self, op: list, vec: dict, inside: bool) -> list[dict]:
+        """op . vec, op a list of words (k, l, c, coefficient), summed from the
+        copy as [outside] or [outside, inside]: the parts beyond and inside
+        the token window, both scaled by one nonzero constant."""
+        out, into = {}, {}
+        den = 1
+        for tok, x in vec.items():
+            lands = self.lands[tok]
+            for k, l, c, q in op:
+                landed = lands[c]
+                if landed is None:
+                    continue
+                d, beyond, within = self[k, l, landed]
+                f = x * q
+                if d != den:
+                    if den % d:  # a new denominator: rescale the sums
+                        scale = lcm(den, d) // den
+                        for acc in (out, into):
+                            for t in acc:
+                                acc[t] *= scale
+                        den *= scale
+                    f *= den // d
+                for t, y in beyond.items():
+                    old = out.get(t)
+                    out[t] = f * y if old is None else old + f * y
+                if inside:
+                    for t, y in within.items():
+                        old = into.get(t)
+                        into[t] = f * y if old is None else old + f * y
+        parts = (out, into) if inside else (out,)
+        return [{t: y for t, y in acc.items() if y} for acc in parts]
+
+
+def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
+           exact: bool) -> tuple[_RowSpan, list[BasisToken], int]:
+    """The probe's closure: its span, the window tokens, the projected terms.
+
+    ``exact`` runs it in ints (every coefficient must be rational): each
+    vector is held primitive, which changes neither its support nor its
+    membership in a span, so every result is that of the Scalar form.
+    """
+    tokens = handle.tokens(window.token_bound)
+    start, projected = _project(seed, set(tokens))
+    if start.is_zero:
+        raise ValueError("the seed lies outside the token window")
+    span = _IntSpan(tokens) if exact else _RowSpan(tokens)
+    held = _primitive if exact else (lambda vec: vec)
+    words = _WordCopy(handle, tokens, exact)
+    ops = [[(*key, q) for key, q in _cleared(handle.operator(gen)._terms, exact)[0].items()]
+           for gen, _ in _window_generators(handle.sector, window.gen_bound)]
+    frontier = [held(_cleared(start._terms, exact)[0])]
+    span.insert(frontier[0])
+    while frontier and span.rank < len(tokens):
+        new_frontier = []
+        for vec in frontier:
+            for op in ops:
+                if span.rank == len(tokens):
+                    projected += len(words.act(op, vec, False)[0])
+                    continue
+                escaped, image = words.act(op, vec, True)
+                projected += len(escaped)
+                if image and span.insert(image):
+                    new_frontier.append(held(image))
+        frontier = new_frontier
+    return span, tokens, projected
+
+
 def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
                specialization: dict | None = None) -> ReachReport:
     """Close a seed under window generator applications and measure rank.
@@ -266,11 +400,14 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
     (or fills it); the window's word length is echoed in the report as the
     requested depth.  Once the span fills the window, the rest of that
     level runs in counting mode: it only counts the terms that leave the
-    window (``projectedTerms``) and eliminates nothing.  ``specialization``
-    is a parameter assignment applied first (None keeps every parameter
-    symbolic).  When parameters remain, the symbolic rank is cross-checked
-    at seeded random rationals and the result recorded; a draw on a pole of
-    the module is redrawn, up to ``_CROSS_CHECK_DRAWS`` draws in all.
+    window (``projectedTerms``), from the out-of-window parts of the words
+    it applies, and eliminates nothing.  ``specialization`` is a parameter
+    assignment applied first (None keeps every parameter symbolic).  At a
+    rational point the closure runs in integers (:func:`_close`).  When
+    parameters remain, the symbolic rank is cross-checked at seeded random
+    rationals and the result recorded; a draw on a pole of the module is
+    redrawn, up to ``_CROSS_CHECK_DRAWS`` draws in all.  A seed with no
+    term inside the token window is a ValueError.
     """
     assignments = dict(specialization or {})
     handle = handle.specialize(assignments)
@@ -279,25 +416,7 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
     seed = handle.reduce(seed)
     if seed.is_zero:
         raise ValueError("the seed must be nonzero (after any specialization)")
-    tokens = handle.tokens(window.token_bound)
-    allowed = set(tokens)
-    span = _RowSpan(tokens)
-    gens = _window_generators(handle.sector, window.gen_bound)
-    start, projected = _project(seed, allowed)
-    frontier = [start] if span.insert(start) else []
-    outside: dict = {}
-    while frontier and span.rank < len(tokens):
-        new_frontier = []
-        for vec in frontier:
-            for gen, gvec in gens:
-                if span.rank == len(tokens):
-                    projected += _escaped_terms(handle, gen, vec, outside, allowed)
-                    continue
-                image, dropped = _project(g_act(handle, gvec, vec), allowed)
-                projected += dropped
-                if not image.is_zero and span.insert(image):
-                    new_frontier.append(image)
-        frontier = new_frontier
+    span, tokens, projected = _close(handle, seed, window, not handle.parameters())
     missing = [render_token(handle.module, tok)
                for i, tok in enumerate(tokens) if i not in span.pivots]
     spec_used: dict[str, str] | str = (

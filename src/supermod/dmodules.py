@@ -71,6 +71,10 @@ __all__ = [
 FAMILIES = ("laurent", "omega", "fraction", "degree")
 
 
+#: the tuple constructor NamedTuple's own __new__ calls; barring is hot
+_new_token = tuple.__new__
+
+
 class BasisToken(NamedTuple):
     """One basis vector of a family, with its superize bar flag.
 
@@ -98,10 +102,10 @@ class BasisToken(NamedTuple):
     k: int
 
     def barred(self) -> "BasisToken":
-        return self._replace(bar=True)
+        return _new_token(BasisToken, (self[0], True, self[2], self[3], self[4]))
 
     def unbarred(self) -> "BasisToken":
-        return self._replace(bar=False)
+        return _new_token(BasisToken, (self[0], False, self[2], self[3], self[4]))
 
 
 def _check_family(tokens) -> None:
@@ -254,6 +258,12 @@ class DModule:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def _shift(m: int, vec: ModuleVector) -> ModuleVector:
+    """t^m on a family whose t^m only shifts the index i (laurent, degree)."""
+    return vec._like({_new_token(BasisToken, (t[0], t[1], t[2], t[3] + m, t[4])): c
+                      for t, c in vec._terms.items()})
+
+
 # ----------------------------------------------------------------------
 # Laurent polynomials with shifted D-eigenvalues
 
@@ -270,8 +280,8 @@ class LaurentModule(DModule):
     def token(self, n: int, bar: bool = False) -> BasisToken:
         return BasisToken("laurent", bar, 0, n, 0)
 
-    def _t_token(self, m: int, tok: BasisToken) -> ModuleVector:
-        return ModuleVector.single(tok._replace(i=tok.i + m))
+    def act_t(self, m: int, vec: ModuleVector) -> ModuleVector:
+        return _shift(m, vec)
 
     def _d_token(self, tok: BasisToken) -> ModuleVector:
         return ModuleVector.single(tok, self.alpha + tok.i)
@@ -367,6 +377,7 @@ class FractionModule(DModule):
         if len(set(self.betas)) != len(self.betas):
             poles = ", ".join(map(str, self.betas))
             raise ValueError(f"poles must be distinct, got {poles}")
+        self._steps: dict[tuple[BasisToken, int | None], ModuleVector] = {}
 
     def pow_token(self, i: int, bar: bool = False) -> BasisToken:
         if i < 0:
@@ -393,6 +404,15 @@ class FractionModule(DModule):
             return drop
         return drop + ModuleVector.single(tok, beta)
 
+    def _step(self, tok: BasisToken, j: int | None) -> ModuleVector:
+        """tok times t (j None) or (t - beta_j)^{-1}, computed once per module:
+        the poles are rational, so no parameter enters a product."""
+        image = self._steps.get((tok, j))
+        if image is None:
+            image = self._steps[tok, j] = (
+                self._times_t(tok) if j is None else self._times_inv(tok, j))
+        return image
+
     def _times_inv(self, tok: BasisToken, j: int) -> ModuleVector:
         """Multiply one token by (t - beta_j)^{-1}, re-expanded in the basis."""
         beta = self.betas[j]
@@ -417,7 +437,7 @@ class FractionModule(DModule):
         head = ModuleVector.single(tok, c)
         if tok.k == 1:
             return head - ModuleVector.single(tok._replace(i=j), c)
-        return head - self._times_inv(tok._replace(k=tok.k - 1), j).scale(c)
+        return head - self._step(tok._replace(k=tok.k - 1), j).scale(c)
 
     def _ddt(self, vec: ModuleVector) -> ModuleVector:
         """The covariant derivative  f -> f' + f sum_j alphas[j]/(t-beta_j)."""
@@ -429,17 +449,17 @@ class FractionModule(DModule):
             else:
                 out.add_term(tok._replace(k=tok.k + 1), coeff * (-tok.k))
             for j, alpha in enumerate(self.alphas):
-                out.add_scaled(self._times_inv(tok, j), coeff * alpha)
+                out.add_scaled(self._step(tok, j), coeff * alpha)
         return out
 
     # -- the uniform interface ------------------------------------------
 
     def act_t(self, m: int, vec: ModuleVector) -> ModuleVector:
-        step = self._times_t if m >= 0 else (lambda tok: self._times_inv(tok, 0))
+        j = None if m >= 0 else 0
         for _ in range(abs(m)):
             out = ModuleVector.zero()
             for tok, coeff in vec._terms.items():
-                out.add_scaled(step(tok), coeff)
+                out.add_scaled(self._step(tok, j), coeff)
             vec = out
         return vec
 
@@ -503,8 +523,8 @@ class DegreeModule(DModule):
             raise ValueError(f"d-power must lie in [0, {self.n - 1}], got {m}")
         return BasisToken("degree", bar, 0, i, m)
 
-    def _t_token(self, m: int, tok: BasisToken) -> ModuleVector:
-        return ModuleVector.single(tok._replace(i=tok.i + m))
+    def act_t(self, m: int, vec: ModuleVector) -> ModuleVector:
+        return _shift(m, vec)
 
     def _ddt(self, vec: ModuleVector) -> ModuleVector:
         out = ModuleVector.zero()

@@ -7,8 +7,9 @@ flag, dtheta clears it.  The t^k D^l image of each token comes from the
 module's own word table (:meth:`DModule.word`), so it is computed once per
 module object and shared by every handle built on it.  ``GModuleHandle``
 then pulls the superconformal action through sigma_b: a generator g acts
-on v as the operator sigma_b(g) applied to v; each handle computes the
-image of each (generator, token) pair once and keeps it, all in one ring:
+on v as the operator sigma_b(g) applied to v (:meth:`GModuleHandle.operator`);
+each handle computes the operator of each generator and the image of each
+(generator, token) pair once and keeps them, all in one ring:
 the handle widens b and its module to one parameter tuple
 (:meth:`DModule.widen`).  Handles carry three independent twists on top
 of the plain action:
@@ -59,29 +60,32 @@ __all__ = [
     "s_act_check",
 ]
 
+def land(c: int, tok: BasisToken) -> BasisToken | None:
+    """The token a Clifford unit sends tok to, None where it kills tok.
+
+    theta bars an unbarred token, dtheta unbars a barred one, theta*dtheta
+    keeps a barred token; each kills the other parity, and 1 keeps both.
+    """
+    if c == CF_ONE:
+        return tok
+    if tok.bar:
+        return tok.unbarred() if c == CF_DTHETA else tok if c == CF_N else None
+    return tok.barred() if c == CF_THETA else None
+
+
 def superize_act(spec: DModule, x: SDElement, v: ModuleVector) -> ModuleVector:
     """Act by a Weyl-superalgebra element on the doubled module.
 
     Each normal-ordered word t^k D^l c acts as:  the Clifford unit c moves
-    the bar flag (theta: v -> v-bar, dtheta: v-bar -> v, killing the other
-    parity; theta*dtheta keeps barred tokens and kills unbarred ones), then
-    t^k D^l acts through the module's word table, which computes each
-    (k, l, token) image once.
+    the bar flag (:func:`land`), then t^k D^l acts through the module's
+    word table, which computes each (k, l, token) image once.
     """
     out = ModuleVector.zero()
-    for (k, l, c), coeff in x.items():
+    for (k, l, c), coeff in x._terms.items():
         for tok, tok_coeff in v._terms.items():
-            if c == CF_THETA:
-                if tok.bar:
-                    continue
-                tok = tok.barred()
-            elif c == CF_DTHETA:
-                if not tok.bar:
-                    continue
-                tok = tok.unbarred()
-            elif c == CF_N and not tok.bar:
-                continue
-            out.add_scaled(spec.word(k, l, tok), coeff * tok_coeff)
+            landed = land(c, tok)
+            if landed is not None:
+                out.add_scaled(spec.word(k, l, landed), coeff * tok_coeff)
     return out
 
 
@@ -95,7 +99,7 @@ class GModuleHandle:
     pi: bool = False
     sigma: bool = False
     quotient: bool = False
-    #: (gen, tok) -> image and (gen, None) -> operator, filled by g_act
+    #: (gen, tok) -> image and (gen, None) -> operator, filled on first use
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     #: the sorted names of the module's parameters and b: the handle's ring
@@ -158,6 +162,24 @@ class GModuleHandle:
         """gen . tok, read from (or added to) the handle's image table."""
         return _image(self, gen, tok)
 
+    def operator(self, gen: Generator) -> SDElement:
+        """The Weyl-superalgebra element gen acts as, computed once per handle:
+        sigma_b of gen's sigma twist, pulled back along the inverse spectral
+        shift in sector 1/2.  Callers must not modify it."""
+        op = self._cache.get((gen, None))
+        if op is None:
+            x = LieVector.basis(gen, self.sector)
+            if self.sigma:
+                x = apply_sigma_aut(x)
+            if self.sector:
+                shifted = LieVector(0)
+                for g, c in x.items():
+                    for target, factor in delta_terms(g, -1):
+                        shifted.add_term(target, c * factor)
+                x = shifted
+            op = self._cache[gen, None] = apply_sigma_b(x, self.b)
+        return op
+
     def specialize(self, assignments: dict) -> "GModuleHandle":
         """The handle at a parameter point; itself, with its tables, when empty."""
         if not assignments:
@@ -176,29 +198,11 @@ class GModuleHandle:
 
 
 def _image(handle: GModuleHandle, gen: Generator, tok: BasisToken) -> ModuleVector:
-    """gen . tok, reduced, computed once per handle.
-
-    gen acts as sigma_b of its sigma twist, pulled back along the inverse
-    spectral shift in sector 1/2.
-    """
-    cache = handle._cache
-    image = cache.get((gen, tok))
+    """gen . tok, reduced, computed once per handle from gen's operator."""
+    image = handle._cache.get((gen, tok))
     if image is None:
-        op = cache.get((gen, None))
-        if op is None:
-            x = LieVector.basis(gen, handle.sector)
-            if handle.sigma:
-                x = apply_sigma_aut(x)
-            if handle.sector:
-                shifted = LieVector(0)
-                for g, c in x.items():
-                    for target, factor in delta_terms(g, -1):
-                        shifted.add_term(target, c * factor)
-                x = shifted
-            op = cache[gen, None] = apply_sigma_b(x, handle.b)
-        image = handle.reduce(
-            superize_act(handle.module, op, ModuleVector.single(tok)))
-        cache[gen, tok] = image
+        image = handle._cache[gen, tok] = handle.reduce(superize_act(
+            handle.module, handle.operator(gen), ModuleVector.single(tok)))
     return image
 
 

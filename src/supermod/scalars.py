@@ -519,6 +519,13 @@ class Scalar:
             raise ScalarError(f"scalar {self} is not a rational number")
         return Fraction(_lc(num), _lc(den))
 
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """The coprime ints (p, r), r > 0, of a rational value p/r."""
+        if self._p is not None:
+            return self._p, self._r
+        value = self.as_fraction()
+        return value.numerator, value.denominator
+
     # ------------------------------------------------------------------
     # specialization
 

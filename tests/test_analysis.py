@@ -1,9 +1,12 @@
 """Window analysis: span probes, operator identities, submodules, witnesses."""
 
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermod import analysis
 from supermod.analysis import (
@@ -27,6 +30,7 @@ from supermod.dmodules import (
     LaurentModule,
     ModuleVector,
     OmegaModule,
+    parse_vector,
     render_token,
     render_vector,
 )
@@ -241,11 +245,12 @@ def test_probe_symbolic_with_cross_check(monkeypatch):
 
 def test_probe_notes_a_cross_check_above_the_symbolic_rank(monkeypatch):
     # an elimination that drops every row with a symbolic coefficient loses
-    # rank symbolically but not at the rational cross-check point
+    # rank symbolically but not at the rational cross-check point, whose
+    # rows hold ints
     original = analysis._RowSpan.insert
 
     def lossy(self, vec):
-        if all(c.is_rational for _, c in vec.items()):
+        if all(isinstance(c, int) or c.is_rational for _, c in vec.items()):
             return original(self, vec)
         return False
 
@@ -283,7 +288,7 @@ def test_probe_cross_check_gives_up_after_a_fixed_number_of_draws(monkeypatch):
 
 def test_probe_keeps_the_callers_tables():
     # without a specialization the probe acts through the caller's handle,
-    # so the images and word-table entries it computes stay with it
+    # so the operators and word-table entries it computes stay with it
     handle = laurent()
     assert handle.specialize({}) is handle
     seed = single(handle.module.token(0))
@@ -412,23 +417,144 @@ def test_counting_mode_without_its_count_is_caught(monkeypatch):
     # the negative control: a counting mode that drops the out-of-window
     # terms changes projectedTerms, and the comparison above must see it
     monkeypatch.delenv("SUPERMOD_SEED", raising=False)
-    monkeypatch.setattr(analysis, "_escaped_terms", lambda *args: 0)
+    real_act = analysis._WordCopy.act
+
+    def dropping(words, op, vec, inside):
+        return real_act(words, op, vec, inside) if inside else [{}]
+
+    monkeypatch.setattr(analysis._WordCopy, "act", dropping)
     assert _counting_mismatches()
 
 
 def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
-    inserts = []
-    original = analysis._RowSpan.insert
+    # each application asks for the in-window part only while the span is
+    # short of full rank: the ranks at which it does stay below ambient
+    applications = []
+    spans = []
+    real_act = analysis._WordCopy.act
+    real_init = analysis._RowSpan.__init__
 
-    def counted(self, vec):
-        inserts.append(self.rank)
-        return original(self, vec)
+    def recording(words, op, vec, inside):
+        applications.append((inside, spans[-1].rank))
+        return real_act(words, op, vec, inside)
 
-    monkeypatch.setattr(analysis._RowSpan, "insert", counted)
+    monkeypatch.setattr(analysis._WordCopy, "act", recording)
+    monkeypatch.setattr(analysis._RowSpan, "__init__",
+                        lambda self, tokens: spans.append(self) or real_init(self, tokens))
     handle = GModuleHandle(LaurentModule(THIRD), THIRD)
     rep = span_probe(handle, single(handle.module.token(2)), Window(2, 2, 2))
     assert rep.full and rep.projected > 0
-    assert max(inserts) < rep.ambient
+    assert max(rank for inside, rank in applications if inside) < rep.ambient
+    counting = [rank for inside, rank in applications if not inside]
+    assert counting and set(counting) == {rep.ambient}
+
+
+# ----------------------------------------------------------------------
+# exactness: the integer closure at a point against its Scalar form
+
+def _point_cases():
+    """(handle, seeds, windows) at rational points: every family in both
+    sectors, the sigma, pi and quotient twists, single tokens of both
+    parities and multi-term seeds with rational coefficients."""
+    fraction = FractionModule((THIRD, THIRD), (0, 1))
+    handles = [GModuleHandle(module, THIRD, sector=sector)
+               for module in (LaurentModule(THIRD), OmegaModule(2), fraction,
+                              DegreeModule(2))
+               for sector in (0, 1)]
+    handles += [GModuleHandle(LaurentModule(THIRD), THIRD, sigma=True),
+                GModuleHandle(OmegaModule(2), THIRD, pi=True, sigma=True),
+                GModuleHandle(fraction, THIRD, sector=1, sigma=True, pi=True),
+                GModuleHandle(LaurentModule(1), 0, quotient=True)]
+    windows = [Window(1, 1, 1), Window(1, 2, 2), Window(2, 2, 2)]
+    cases = []
+    for handle in handles:
+        first, *_, last = handle.tokens(1)
+        seeds = [single(first), single(last),
+                 single(first, Fraction(2, 3)) + single(last, Fraction(-5, 7))]
+        if handle.module is fraction:
+            seeds.append(parse_vector(fraction, "t^-1~ + (t-1)^-1"))
+        cases.append((handle, seeds, windows))
+    # the b = 1/2 gap: rank 9 of 10
+    omega = GModuleHandle(OmegaModule(2), HALF)
+    cases.append((omega, [single(omega.module.token(0))], [Window(2, 4, 4)]))
+    return cases
+
+
+def test_integer_closure_reports_what_the_scalar_closure_reports(monkeypatch):
+    real_close = analysis._close
+    forms = []
+
+    def scalar_form(handle, seed, window, exact):
+        assert exact  # every case is at a rational point
+        forms.append(type(real_close(handle, seed, window, True)[0]))
+        return real_close(handle, seed, window, False)
+
+    reports = []
+    for handle, seeds, windows in _point_cases():
+        for seed in seeds:
+            for window in windows:
+                exact = span_probe(handle, seed, window).to_json()
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_close", scalar_form)
+                    assert span_probe(handle, seed, window).to_json() == exact, \
+                        (handle.describe(), render_vector(handle.module, seed), window)
+                reports.append(exact)
+    assert set(forms) == {analysis._IntSpan}
+    # the cases hold a gap, and most of them project terms
+    assert any(not rep["full"] for rep in reports)
+    assert sum(rep["projectedTerms"] > 0 for rep in reports) > len(reports) // 2
+
+
+def _fraction_echelon(rows):
+    """Gaussian elimination over Fractions: {lead column: row with a unit
+    lead}, and whether each row grew the rank."""
+    pivots, grew = {}, []
+    for row in rows:
+        grew.append(bool(_fraction_reduce(pivots, row)))
+        if grew[-1]:
+            rest = _fraction_reduce(pivots, row)
+            lead = min(rest)
+            pivots[lead] = {c: v / rest[lead] for c, v in rest.items()}
+    return pivots, grew
+
+
+def _fraction_reduce(pivots, row):
+    rest = {c: Fraction(v) for c, v in row.items() if v}
+    while rest and min(rest) in pivots:
+        factor = rest[min(rest)]
+        for c, v in pivots[min(rest)].items():
+            rest[c] = rest.get(c, 0) - factor * v
+            if not rest[c]:
+                del rest[c]
+    return rest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fraction_free_span_matches_fraction_elimination(data):
+    n = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda row: {c: v for c, v in enumerate(row) if v})
+    rows = data.draw(st.lists(vectors.filter(bool), min_size=1, max_size=6))
+    span = analysis._IntSpan(list(range(n)))
+    grew = [span.insert(row) for row in rows]
+    pivots, want = _fraction_echelon(rows)
+    assert grew == want
+    assert span.rank == len(pivots) and set(span.pivots) == set(pivots)
+    # rows are stored primitive, all in ints
+    for p, rest in span.pivots.values():
+        assert isinstance(p, int) and all(isinstance(v, int) for v in rest.values())
+        assert gcd(p, *rest.values()) == 1
+    weights = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
+                                 max_size=len(rows)))
+    combo = {}
+    for w, row in zip(weights, rows):
+        for c, v in row.items():
+            combo[c] = combo.get(c, 0) + w * v
+    for probe in [{c: v for c, v in combo.items() if v},
+                  *data.draw(st.lists(vectors, max_size=3))]:
+        assert span.contains(probe) == (not _fraction_reduce(pivots, probe)), probe
+    assert span.contains({c: v for c, v in combo.items() if v})
 
 
 # ----------------------------------------------------------------------

@@ -230,6 +230,9 @@ EXACT_ERRORS = {
         "error: index 1/0 has a zero denominator in 'L[1/0]'\n",
     "vector-zero-denominator": "error: the pole 1/0 has a zero denominator\n",
     "spec-pole-zero-denominator": "error: the pole 1/0 has a zero denominator\n",
+    "probe-seed-outside-window": "error: the seed lies outside the token window\n",
+    "probe-seed-outside-window-omega":
+        "error: the seed lies outside the token window\n",
 }
 
 
@@ -261,6 +264,11 @@ EXACT_ERRORS = {
      "--vector", "(t-1/0)^-1"),
     ("act", "--module", '{"family":"fraction","alphas":["a","c"],"betas":["0","1/0"]}',
      "--b", "b", "--generator", "L[1]", "--vector", "t^0"),
+    # a seed with no term in the window: nothing would be checked
+    ("probe", "--module", '{"family":"laurent","alpha":"1/3"}', "--b", "1/3",
+     "--seed", "t^9", "--window", "1,1,1"),
+    ("probe", "--module", '{"family":"omega","lambda":"2"}', "--b", "1/3",
+     "--seed", "D^7", "--window", "1,1,1"),
 ], ids=["algebra-window-0", "morphism-window-negative",
         "action-table-window-negative", "specialize-zero-denominator",
         "bare-G-generator", "spec-alpha-null", "spec-alpha-float",
@@ -268,7 +276,8 @@ EXACT_ERRORS = {
         "spec-alphas-string", "spec-alphas-null-entry", "spec-extra-field",
         "spec-repeated-pole", "specialize-duplicate-name",
         "generator-zero-denominator", "vector-zero-denominator",
-        "spec-pole-zero-denominator"])
+        "spec-pole-zero-denominator", "probe-seed-outside-window",
+        "probe-seed-outside-window-omega"])
 def test_bad_inputs_exit_two(capsys, request, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""

@@ -6,7 +6,8 @@ with bounds in -1..2 (generator bounds at most 1 where the check is
 expensive).  Whatever the input, the CLI exits 0, 1 or 2, never lets an
 exception escape, and a report that says it passed has checked something
 and, where it counts violations, has none; a passing submodule report
-spans at least one vector of the window.
+spans at least one vector of the window, and every probe report spans
+at least one.
 """
 
 import contextlib
@@ -113,6 +114,10 @@ argvs = st.one_of(
 # rejection goes
 @example(["check-submodule", "--module", '{"family":"laurent","alpha":"1/3"}',
           "--b", "1/3", "--vector", "t^5", "--window", "1,1"])
+# a seed outside the window: the rank assertion below has a case that
+# reaches it if the exit-2 rejection goes
+@example(["probe", "--module", '{"family":"laurent","alpha":"1/3"}',
+          "--b", "1/3", "--seed", "t^9", "--window", "1,1,1"])
 def test_cli_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -127,3 +132,5 @@ def test_cli_keeps_the_exit_code_contract(argv):
             assert report["passed"] == (report["violationCount"] == 0), argv
         if report.get("kind") == "submodule" and report["passed"]:
             assert report["details"]["subspaceRank"] >= 1, argv
+        if report.get("kind") == "span-probe":
+            assert report["rank"] >= 1, argv

@@ -8,6 +8,7 @@ from supermod import functors
 from supermod.analysis import Window, module_axiom_check, span_probe
 from supermod.dmodules import (
     DegreeModule,
+    DModule,
     FractionModule,
     LaurentModule,
     ModuleVector,
@@ -404,15 +405,15 @@ def test_specialized_module_and_handle_start_with_their_own_word_table():
 ], ids=["laurent-symbolic", "omega", "fraction", "degree-1/2"])
 def test_checks_leave_the_word_table_intact(make_handle, monkeypatch):
     # span_probe acts on its own specialized copy of the handle, so collect
-    # every module whose table superize_act reads
+    # every module whose word table is read
     used = {}
-    real_superize = functors.superize_act
+    real_word = DModule.word
 
-    def recording(spec, x, v):
+    def recording(spec, k, l, tok):
         used[id(spec)] = spec
-        return real_superize(spec, x, v)
+        return real_word(spec, k, l, tok)
 
-    monkeypatch.setattr(functors, "superize_act", recording)
+    monkeypatch.setattr(DModule, "word", recording)
     h = make_handle()
     assert module_axiom_check(h, Window(1, 1)).passed
     report = span_probe(h, single(h.module.tokens(1)[0]), Window(1, 2, 2))
@@ -452,22 +453,34 @@ def _landing_bar(c, bar):
     return bar
 
 
+def test_land_moves_the_bar_flag_as_the_clifford_unit_acts():
+    tok = LaurentModule("a").token(3)
+    for c in (CF_ONE, CF_N, CF_THETA, CF_DTHETA):
+        for start in (tok, tok.barred()):
+            bar = _landing_bar(c, start.bar)
+            want = None if bar is None else start._replace(bar=bar)
+            assert functors.land(c, start) == want, (c, start)
+
+
 def test_probe_runs_each_d_chain_step_once(monkeypatch):
     """act_D runs at most once per distinct (token, D-power) requested."""
     requested = set()
-    real_superize = functors.superize_act
+    depth = []
+    real_word = DModule.word
 
-    def recording(spec, x, v):
-        for (k, l, c), _ in x.items():
-            for tok, _ in v.items():
-                bar = _landing_bar(c, tok.bar)
-                if bar is not None:
-                    requested.update((tok._replace(bar=bar), j) for j in range(1, l + 1))
-        return real_superize(spec, x, v)
+    def recording(spec, k, l, tok):
+        # only the probe's own reads: the table's recursion is not a request
+        if not depth:
+            requested.update((tok, j) for j in range(1, l + 1))
+        depth.append(tok)
+        try:
+            return real_word(spec, k, l, tok)
+        finally:
+            depth.pop()
 
     calls = []
     real_act_D = DegreeModule.act_D
-    monkeypatch.setattr(functors, "superize_act", recording)
+    monkeypatch.setattr(DModule, "word", recording)
     monkeypatch.setattr(DegreeModule, "act_D",
                         lambda self, vec: calls.append(vec) or real_act_D(self, vec))
     module = DegreeModule(2)

@@ -427,7 +427,11 @@ def test_cancelled_symbolic_equals_plain_rational(q):
         assert hash(cancelled) == hash(r) == hash(q)
         assert str(cancelled) == str(r) and cancelled.as_fraction() == q
         assert cancelled.parameters == () and cancelled.is_rational
+        assert cancelled.as_integer_ratio() == q.as_integer_ratio()
+    assert r.as_integer_ratio() == q.as_integer_ratio()
     assert a / a == ONE and hash(a / a) == hash(ONE)
+    with pytest.raises(ScalarError):
+        (a + q).as_integer_ratio()
 
 
 @_fixed
