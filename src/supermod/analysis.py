@@ -15,6 +15,10 @@ span, and the lead columns of an echelon basis depend only on the span,
 so rank, missing tokens and projected terms are those of the rational
 closure.  With parameters left the same closure runs over Scalars.
 
+The module-axiom suite runs in ints too, exactly in every parameter: at one
+Kronecker point an integer polynomial within its bounds is zero exactly
+when its value is (:func:`module_axiom_check`).
+
 The operator identities checked here are the two enveloping-algebra
 tricks that drive the degeneration analysis:
 
@@ -38,7 +42,8 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act, land
 from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
                      parity, render_generator)
-from .scalars import LinComb, ScalarError, SingularSpecializationError, scalar
+from .scalars import (LinComb, ScalarError, SingularSpecializationError, kronecker_table,
+                      scalar)
 
 __all__ = [
     "Window",
@@ -596,39 +601,78 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     """g_act([x,y]) = g_act(x) g_act(y) -+ g_act(y) g_act(x), exhaustively.
 
     All homogeneous generator pairs with indices inside the window act on
-    every window token; nothing is projected, so the identities checked
-    are exact in all module parameters and b.  Each identity sums in one
-    accumulator x.(y.tok) -+ y.(x.tok) - [x,y].tok from the handle's image
-    table (C acts as zero) and holds exactly when the sum is empty: a
-    coefficient is zero exactly when its numerator polynomial is.
+    every window token (C acts as zero); nothing is projected, so the
+    identities are exact in all module parameters and b.  Every image the
+    suite reads is put in the handle's image table, cleared over one common
+    denominator Delta and evaluated at one Kronecker point
+    (:func:`kronecker_table`).  Each identity's numerator
+    N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok), l the lcm of the
+    bracket's denominators, is an integer polynomial in the entries with
+    coefficients at most H = 2 S l M^2 + |l [x,y]|_1 |Delta|_1 M (M the
+    largest l1 norm of an entry, S the largest image support), so at that
+    point it is zero exactly when its value, a sum of int products, is: a
+    certificate, not a sample.  A failing case renders its difference from
+    the Scalar images.
     """
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
+    acting = [g for g in gens if g.kind != "C"]
     tokens = handle.tokens(window.token_bound)
     image = handle.image
+    # each pair's bracket over one denominator l, as l and [(g, l*c)], and
+    # the largest l and l1 norm of l [x,y] over all pairs
+    pairs, top_ell, linear = [], 1, 0
+    for i, x in enumerate(gens):
+        xv = LieVector.basis(x, sector)
+        for y in gens[i:]:
+            ratios = [(g, c.as_integer_ratio()) for g, c in bracket(
+                xv, LieVector.basis(y, sector)).items() if g.kind != "C"]
+            ell = lcm(*(r for _, (_, r) in ratios))
+            terms = [(g, p * (ell // r)) for g, (p, r) in ratios]
+            pairs.append((x, y, ell, terms))
+            top_ell = max(top_ell, ell)
+            linear = max(linear, sum(abs(c) for _, c in terms))
+    # every image the suite reads: the acting generators on the window
+    # tokens and on the tokens their images reach, the brackets on the window
+    table = {(g, tok): image(g, tok)._terms for g in acting for tok in tokens}
+    reached = {t for terms in table.values() for t in terms}.difference(tokens)
+    table.update({(g, t): image(g, t)._terms for g in acting for t in reached})
+    table.update({(g, tok): image(g, tok)._terms for *_, terms in pairs
+                  for g, _ in terms for tok in tokens})
+    # x.(y.tok) and y.(x.tok) each sum at most S products into a coefficient
+    support = max(map(len, table.values()))
+    values, delta = kronecker_table(table, handle.parameters(),
+                                    2 * support * top_ell, linear)
     report = VerificationReport(
         "module-axiom", {"window": window.to_json(), "sector": sector,
                          "tags": list(handle.tags)})
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            bracket_terms = [(g, -c) for g, c in bracket(
-                LieVector.basis(x, sector), LieVector.basis(y, sector)).items()
-                if g.kind != "C"]
-            sign = (-1) ** (parity(x.kind) * parity(y.kind))
-            # (first, then, s): acc += s * then.(first.tok)
-            steps = () if "C" in (x.kind, y.kind) else ((y, x, 1), (x, y, -sign))
-            for tok in tokens:
-                acc = ModuleVector.zero()
-                for first, then, s in steps:
-                    for t, c in image(first, tok)._terms.items():
-                        acc.add_scaled(image(then, t), c if s > 0 else -c)
-                for g, c in bracket_terms:
-                    acc.add_scaled(image(g, tok), c)
-                report.checked += 1
-                if not acc.is_zero:
-                    report.violations.append({
-                        "pair": [render_generator(x), render_generator(y)],
-                        "token": render_token(handle.module, tok),
-                        "difference": render_vector(handle.module, -acc),
-                    })
+    for x, y, ell, terms in pairs:
+        sign = (-1) ** (parity(x.kind) * parity(y.kind))
+        # (first, then, s): add s * then.(first.tok); a product of two
+        # entries is over Delta^2 and an entry over Delta, so the bracket
+        # terms are scaled by Delta
+        steps = () if "C" in (x.kind, y.kind) else ((y, x, ell), (x, y, -sign * ell))
+        for tok in tokens:
+            acc: dict = {}
+            for first, then, s in steps:
+                for t, c in zip(table[first, tok], values[first, tok]):
+                    c *= s
+                    for u, v in zip(table[then, t], values[then, t]):
+                        acc[u] = acc.get(u, 0) + c * v
+            for g, c in terms:
+                c *= delta
+                for u, v in zip(table[g, tok], values[g, tok]):
+                    acc[u] = acc.get(u, 0) - c * v
+            report.checked += 1
+            if any(acc.values()):
+                xv, yv = LieVector.basis(x, sector), LieVector.basis(y, sector)
+                v = ModuleVector.single(tok)
+                difference = g_act(handle, bracket(xv, yv), v) - (
+                    g_act(handle, xv, g_act(handle, yv, v))
+                    - g_act(handle, yv, g_act(handle, xv, v)).scale(sign))
+                report.violations.append({
+                    "pair": [render_generator(x), render_generator(y)],
+                    "token": render_token(handle.module, tok),
+                    "difference": render_vector(handle.module, difference),
+                })
     return report

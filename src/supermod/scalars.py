@@ -16,17 +16,20 @@ less than a sympy ring's per-call checks.  A parameter-free value, such as
 every coefficient of a check at a rational point like ``b = 1/3``, is held
 as two Python ints p/r, coprime with r > 0, and computed on in plain int
 arithmetic.  A rational p/r meets a symbolic num/den by scaling
-(``_pscale(num, p)`` over ``_pscale(den, r)``), two constant denominators
-meet at their lcm, and a product with a factor of one or zero returns
-without arithmetic.  A symbolic value that cancels to a rational,
-such as ``a/a``, stays in polynomial form but is equal to, hashes like and
-prints like the parameter-free value.
+(``_pscale(num, p)`` over ``_pscale(den, r)``), two monomial denominators
+(constants among them) meet at their lcm, and a product with a factor of
+one or zero returns without arithmetic.  A symbolic value that cancels to
+a rational, such as ``a/a``, stays in polynomial form but is equal to,
+hashes like and prints like the parameter-free value.
 
 Only ``+``, ``*``, negation, ``**`` and ``is_zero`` are written out: the
 checks spend their scalar time there.  Subtraction is ``x + -y``,
 division ``x * y ** -1`` after a zero check, and equality
 ``(x - y).is_zero``; these run in parsing and in the catalog's
 comparisons, not in a check's inner loop.
+
+:func:`kronecker_table` tests identities among a table of values in ints,
+exactly, at one Kronecker point.
 
 Two symbolic values over different parameter tuples meet in the union
 ring (``_unify``).  A module handle fixes one tuple and re-expresses b and
@@ -238,6 +241,123 @@ def _cancel(num: dict, den: dict, names: tuple[str, ...]) -> tuple[dict, dict]:
     return num, den
 
 
+# ----------------------------------------------------------------------
+# Kronecker certificates
+#
+# Sending each parameter x_i to 2^(B*S_i), S_1 = 1 and S_(i+1) = S_i*D_i,
+# is injective on integer polynomials with coefficients below 2^(B-1) in
+# absolute value and degree below D_i in each x_i: distinct monomials land
+# on distinct powers of 2^B (mixed radix D_1, D_2, ...), and balanced
+# base-2^B digits are unique.  So one int tests such a polynomial for zero,
+# exactly; nothing is sampled.
+
+
+def _denominator_parts(den: dict) -> tuple[int, tuple, frozenset]:
+    """den = c * x^e * P, P primitive with no monomial factor and a positive
+    leading coefficient: (c, e, P's terms), P = 1 for a monomial."""
+    low = tuple(map(min, zip(*den)))
+    c = math.gcd(*den.values())
+    if _lc(den) < 0:
+        c = -c
+    return c, low, frozenset(
+        (tuple(e - f for e, f in zip(mon, low)), coeff // c) for mon, coeff in den.items())
+
+
+def _pexquo(a: dict, b: dict) -> dict | None:
+    """a / b when b divides a over ZZ, else None, by long division in lex
+    order: a multiple of b has b's leading term dividing its own."""
+    mb = max(b)
+    cb, out = b[mb], {}
+    while a:
+        ma = max(a)
+        mon = tuple(x - y for x, y in zip(ma, mb))
+        if min(mon, default=0) < 0 or a[ma] % cb:
+            return None
+        out[mon] = a[ma] // cb
+        a = _padd(a, _pmul(b, {mon: -out[mon]}))
+    return out
+
+
+def kronecker_table(table: dict, names: tuple[str, ...], products: int,
+                    linear: int) -> tuple[dict, int]:
+    """A table {key: {key2: Scalar}} over ``names``, cleared and evaluated.
+
+    Each coefficient n/d is read raw, so no gcd runs, and cleared over
+    Delta: the lcm of the denominators' monomial parts c*x^e times their
+    primitive parts, largest first, each skipped where it divides the
+    product of those taken (an exact division, not a gcd).  The entries
+    e = n*Delta/d are integer polynomials; they and Delta are evaluated at
+    a Kronecker point where every identity
+
+        sum w * e * e'  -  Delta * sum u * e''  =  0,
+
+    w, u ints with sum |w| <= ``products`` and sum |u| <= ``linear``, holds
+    exactly when its value does.  With M the largest l1 norm of an entry
+    and d_i its largest degree in x_i, B is taken from the identity's
+    coefficient bound H = products*M^2 + linear*|Delta|_1*M, and
+    D_i = max(2 d_i, deg_i Delta + d_i) + 1.  Returns ({key: [the ints
+    of its row, in the row's order]}, the value of Delta).
+    """
+    zero = (0,) * len(names)
+    rationals: dict = {}  # r -> the parts of a rational's denominator r
+    polys: dict = {}  # id(den) -> (den, its parts), den kept so its id stays
+
+    def read():
+        """(key, raw numerator, denominator parts) of each coefficient."""
+        for key, terms in table.items():
+            for c in terms.values():
+                if c._p is not None:
+                    parts = rationals.get(c._r)
+                    if parts is None:
+                        parts = rationals[c._r] = _denominator_parts({zero: c._r})
+                    yield key, {zero: c._p}, parts
+                    continue
+                c = c.over(names)
+                hit = polys.get(id(c._d))
+                if hit is None:
+                    hit = polys[id(c._d)] = c._d, _denominator_parts(c._d)
+                yield key, c._n, hit[1]
+
+    # per distinct denominator, its numerators' largest l1 norm and degrees
+    reach: dict = {}
+    for _, num, parts in read():
+        if num:
+            n, d = reach.get(parts, (0, zero))
+            reach[parts] = max(n, sum(map(abs, num.values()))), tuple(map(max, zip(d, *num)))
+    scale = math.lcm(*(c for c, _, _ in reach))
+    top = tuple(map(max, zip(zero, *(e for _, e, _ in reach))))
+    prims = {P: dict(P) for _, _, P in reach}
+    product = {zero: 1}
+    for P in sorted(prims.values(), key=lambda P: (-max(map(sum, P)), sorted(P.items()))):
+        if _pexquo(product, P) is None:
+            product = _pmul(product, P)
+    delta = _pmul(product, {top: scale})
+    # Delta/d for each distinct denominator d, and the bounds
+    quotients = {(c, e, P): _pmul(_pexquo(product, prims[P]),
+                                  {tuple(t - f for t, f in zip(top, e)): scale // c})
+                 for c, e, P in reach}
+    norm, degree = 0, zero
+    for parts, (n, d) in reach.items():
+        q = quotients[parts]
+        norm = max(norm, n * sum(map(abs, q.values())))
+        degree = tuple(map(max, zip(degree, [a + b for a, b in zip(d, map(max, zip(*q)))])))
+    height = products * norm * norm + linear * sum(map(abs, delta.values())) * norm
+    shifts, stride = [], height.bit_length() + 1
+    for d, dd in zip(degree, map(max, zip(*delta))):
+        shifts.append(stride)
+        stride *= max(2 * d, dd + d) + 1
+
+    def value(poly: dict) -> int:
+        return sum(coeff << sum(a * s for a, s in zip(mon, shifts))
+                   for mon, coeff in poly.items())
+
+    at = {parts: value(q) for parts, q in quotients.items()}
+    out: dict = {key: [] for key in table}
+    for key, num, parts in read():
+        out[key].append(value(num) * at[parts] if num else 0)
+    return out, value(delta)
+
+
 def _to_fraction(value) -> Fraction:
     """Coerce an int/Fraction/str rational literal to a Fraction."""
     if isinstance(value, (int, Fraction)):
@@ -327,18 +447,21 @@ class Scalar:
     # arithmetic
     #
     # Only the operators the checks run hot are written out.  One pass of
-    # the axiom suite makes about 44k products, 20k sums, 11k negations,
-    # 76 powers and no -, / or ==; a probe pass adds only the divisions of
-    # parsing its --b text.  Each hot operator settles the parameter-free
-    # cases first.  Two rationals p/r and q/s meet in int arithmetic: over
-    # unit denominators a sum or product is one int operation, a sum
-    # reduces through gcd(r, s) and a product cross-reduces by gcd(p, s)
-    # and gcd(q, r), so every result is coprime without a full gcd.  A
-    # rational p/r meets an integer polynomial pair num/den by scaling
-    # with p and r, over the other operand's names; only two
-    # polynomial operands are unified, and a constant denominator is
-    # scaled by, never multiplied as, a polynomial.  -, / and == (parsing
-    # and the catalog's comparisons) are derived from them.
+    # the axiom suite makes about 14k products, 2k sums, 140 negations,
+    # 76 powers and no -, / or ==, all of them building its handles' image
+    # tables (its identities run in ints, :func:`kronecker_table`); a
+    # probe pass makes about 6.5k products, 650 sums, 360 negations and
+    # 90 powers and divisions, before its closure runs in ints.  Each hot
+    # operator settles the parameter-free cases first.  Two rationals p/r
+    # and q/s meet in int arithmetic: over unit denominators a sum or
+    # product is one int operation, a sum reduces through gcd(r, s) and a
+    # product cross-reduces by gcd(p, s) and gcd(q, r), so every result is
+    # coprime without a full gcd.  A rational p/r meets an integer
+    # polynomial pair num/den by scaling with p and r, over the other
+    # operand's names; only two polynomial operands are unified, two
+    # monomial denominators meet at their lcm, and a constant denominator
+    # is scaled by, never multiplied as, a polynomial.  -, / and ==
+    # (parsing and the catalog's comparisons) are derived from them.
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         if other.__class__ is not Scalar:
@@ -348,13 +471,16 @@ class Scalar:
                 names, na, da, nb, db = self._unify(other)
                 if da == db:
                     return Scalar(names, _padd(na, nb), da)
-                ca, cb = _ground(da), _ground(db)
-                if ca is None or cb is None:
+                if len(da) != 1 or len(db) != 1:
                     return Scalar(names, _padd(_pmul(na, db), _pmul(nb, da)),
                                   _pmul(da, db))
+                # two monomial denominators meet at their lcm
+                [(ea, ca)], [(eb, cb)] = da.items(), db.items()
                 lcm = math.lcm(ca, cb)
-                num = _padd(_pscale(na, lcm // ca), _pscale(nb, lcm // cb))
-                return Scalar(names, num, _pscale(da, lcm // ca))
+                top = tuple(map(max, ea, eb))
+                num = _padd(_pmul(na, {tuple(t - e for t, e in zip(top, ea)): lcm // ca}),
+                            _pmul(nb, {tuple(t - e for t, e in zip(top, eb)): lcm // cb}))
+                return Scalar(names, num, {top: lcm})
             self, other = other, self
         p, r = self._p, self._r
         if not p:

@@ -660,8 +660,8 @@ def test_module_axioms_hold_on_the_quotient():
 def _axiom_check_through_g_act(handle, window):
     """The module-axiom suite composed from g_act calls, one vector per side.
 
-    The reference that module_axiom_check's single accumulator must match,
-    checked case and violation alike.
+    The reference that module_axiom_check's integer certificate must
+    match, checked case and violation alike.
     """
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
@@ -707,6 +707,14 @@ AXIOM_HANDLES = {
     "omega-half": lambda: GModuleHandle(OmegaModule("l"), "b", sector=1),
     "fraction": lambda: GModuleHandle(FractionModule(("a0", "a1"), (0, 1)), "b"),
     "degree": lambda: GModuleHandle(DegreeModule(2), "b"),
+    # a non-monomial denominator, negative exponents with a b that is not
+    # affine, a non-monomial lambda, a name shared by alpha and b
+    "laurent-inverse": lambda: laurent("1/(a+1)"),
+    "laurent-negative-power": lambda: laurent("a^-3", "b^2"),
+    "omega-shifted": lambda: GModuleHandle(OmegaModule("l+1"), "b"),
+    "laurent-shared-name": lambda: laurent("b"),
+    "fraction-half-sigma-pi": lambda: GModuleHandle(
+        FractionModule(("a0", "a1"), (0, 1)), "b", sector=1, sigma=True, pi=True),
 }
 
 

@@ -404,6 +404,8 @@ codes = [
 print(codes, "sympy" in sys.modules)
 codes.append(run("act", "--module", LAURENT, "--b", "b", "--generator", "L[1]",
                  "--vector", "t^0"))
+for spec in ('{"family":"laurent","alpha":"1/(a+1)"}', '{"family":"omega","lambda":"l+1"}'):
+    codes.append(run("check-module", "--module", spec, "--b", "b", "--window", "1,1"))
 print(codes, "sympy" in sys.modules)
 codes.append(run("act", "--module", '{"family":"omega","lambda":"l"}', "--b", "b",
                  "--generator", "L[-1]", "--vector", "D^1"))
@@ -420,9 +422,10 @@ def test_parameter_free_commands_do_not_import_sympy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     rational, polynomial, fraction = done.stdout.splitlines()
-    # every call passes; a symbolic act over polynomials stays in the int
+    # every call passes; a symbolic act over polynomials and a symbolic
+    # check-module, non-monomial denominators included, stay in the int
     # kernel, and sympy arrives with the first gcd of two non-constant
     # polynomials, here (b - 1)/l
     assert rational == "[0, 0, 0, 0, 0] False"
-    assert polynomial == "[0, 0, 0, 0, 0, 0] False"
-    assert fraction == "[0, 0, 0, 0, 0, 0, 0] True"
+    assert polynomial == "[0, 0, 0, 0, 0, 0, 0, 0] False"
+    assert fraction == "[0, 0, 0, 0, 0, 0, 0, 0, 0] True"

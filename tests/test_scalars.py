@@ -594,3 +594,115 @@ def test_mixed_ring_values_from_the_parser_stay_correct():
     assert prod == Scalar.parse("a*b") and str(prod) == "a*b"
     assert prod.over(RING) * Scalar.parse("alpha") == Scalar.parse("a*alpha*b")
     assert (Scalar.parse("1/a") * b).over(RING) == Scalar.parse("b/a")
+
+
+# ----------------------------------------------------------------------
+# monomial denominators meet at their lcm
+
+def test_monomial_denominators_meet_at_their_lcm():
+    x, y, l = (Scalar.parameter(n) for n in ("x", "y", "l"))
+    names = ("l", "x", "y")
+    left, right = (x / l ** 2).over(names), (y / (2 * l ** 3)).over(names)
+    got = left + right
+    assert got._d == {(3, 0, 0): 2}
+    crossed = Scalar(names, kernel._padd(kernel._pmul(left._n, right._d),
+                                         kernel._pmul(right._n, left._d)),
+                     kernel._pmul(left._d, right._d))
+    assert crossed._d == {(5, 0, 0): 2}
+    assert got == crossed and str(got) == str(crossed) and hash(got) == hash(crossed)
+    # a negative coefficient and equal exponents
+    odd = Scalar(("l",), {(0,): 1}, {(1,): -3}) + Scalar(("l",), {(0,): 1}, {(1,): 2})
+    assert odd._d == {(1,): 6} and odd == Scalar.parse("1/(6*l)")
+
+
+# ----------------------------------------------------------------------
+# Kronecker certificates: one int tests an identity among cleared entries
+
+def _kronecker_zero(entries, names, products, linear):
+    """Whether sum w e_i e_j - sum u e_k is zero at the kernel's point."""
+    values, delta = kernel.kronecker_table(
+        {i: {0: e} for i, e in enumerate(entries)}, names,
+        sum(abs(w) for *_, w in products), sum(abs(u) for _, u in linear))
+    v = [values[i][0] for i in range(len(entries))]
+    return (sum(w * v[i] * v[j] for i, j, w in products)
+            - delta * sum(u * v[k] for k, u in linear)) == 0
+
+
+@st.composite
+def kronecker_identities(draw):
+    """Entries over 0-3 names with unit, constant, monomial, shared and
+    non-monomial denominators, and an identity among them that holds by
+    construction unless a random term is added to it."""
+    names = ("a", "b", "c")[:draw(st.integers(min_value=0, max_value=3))]
+    zero = (0,) * len(names)
+    mons = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(names))
+    coeffs = st.integers(min_value=-5, max_value=5).filter(bool)
+    polys = st.dictionaries(mons, coeffs, max_size=4)
+    dens = [{zero: 1}, {zero: draw(st.integers(min_value=2, max_value=6))},
+            {draw(mons): draw(st.sampled_from([1, -2, 3]))},
+            draw(polys.filter(bool))]
+    entries = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        if not names or draw(st.booleans()):
+            entries.append(scalar(Fraction(draw(coeffs), draw(st.integers(1, 4)))))
+        else:
+            entries.append(Scalar(names, draw(polys), draw(st.sampled_from(dens))))
+    n = len(entries)
+    pick = st.integers(min_value=0, max_value=n - 1)
+    weight = st.integers(min_value=-3, max_value=3).filter(bool)
+    products, linear = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i, j, w = draw(pick), draw(pick), draw(weight)
+        entries.append(entries[i] * entries[j])  # cleared over Delta, e_i e_j = Delta e_k
+        products.append((i, j, w))
+        linear.append((len(entries) - 1, w))
+    if draw(st.booleans()):
+        products.append((draw(pick), draw(pick), draw(weight)))
+    if draw(st.booleans()):
+        linear.append((draw(pick), draw(weight)))
+    return names, entries, products, linear
+
+
+@_fixed
+@given(kronecker_identities())
+def test_kronecker_zero_test_matches_polynomial_arithmetic(identity):
+    names, entries, products, linear = identity
+    # the same identity in QQ(names), through _pmul/_padd
+    total = ZERO
+    for i, j, w in products:
+        total = total + entries[i] * entries[j] * w
+    for k, u in linear:
+        total = total - entries[k] * u
+    assert _kronecker_zero(entries, names, products, linear) == total.is_zero
+
+
+def test_kronecker_point_keeps_carries_and_monomials_apart():
+    x, y = Scalar.parameter("x"), Scalar.parameter("y")
+    # x - 4M for M = 2^6, the largest entry norm: at 2^B with 2^(B-1) > M
+    # alone, 4M carries into the x digit and the sum vanishes
+    assert not _kronecker_zero([x, ONE, scalar(-64), scalar(4)], ("x",),
+                               [(0, 1, 1), (2, 3, 1)], [])
+    # x^2 - y: a stride of 2 B instead of 3 B sends x^2 and y to one power
+    xy = ("x", "y")
+    assert not _kronecker_zero([x.over(xy), y.over(xy), ONE], xy,
+                               [(0, 0, 1), (1, 2, -1)], [])
+    # 1/2 * 1/2 - 1/4: a product is over Delta^2, a linear term over Delta
+    assert _kronecker_zero([scalar(Fraction(1, 2)), scalar(Fraction(1, 4))], (),
+                           [(0, 0, 1)], [(1, 1)])
+
+
+def test_kronecker_delta_takes_each_primitive_part_once():
+    l = Scalar.parameter("l")
+    table = {0: {0: 1 / (l + 1)}, 1: {0: 1 / (l + 1) ** 3},
+             2: {0: 3 / (2 * l * (l + 1) ** 2)}}
+    values, delta = kernel.kronecker_table(table, ("l",), 1, 1)
+    # Delta = 2 l (l + 1)^3, not 2 l (l + 1)^6: l + 1 and (l + 1)^2 divide
+    # (l + 1)^3, so the entries clear to 2 l (l + 1)^2, 2 l and 3 (l + 1)
+    point = values[1][0] // 2
+    assert values[0][0] == 2 * point * (point + 1) ** 2
+    assert values[2][0] == 3 * (point + 1)
+    assert delta == 2 * point * (point + 1) ** 3
+    assert kernel._pexquo({(4,): 1, (3,): 3, (2,): 3, (1,): 1}, {(1,): 1, (0,): 1}) == {
+        (3,): 1, (2,): 2, (1,): 1}
+    assert kernel._pexquo({(2,): 1, (0,): 1}, {(1,): 1, (0,): 1}) is None
+    assert kernel._pexquo({(0,): 3}, {(0,): 2}) is None
