@@ -13,7 +13,8 @@ are held primitive, and elimination is fraction-free.  Scaling a vector by
 a nonzero rational changes neither its support nor whether it lies in a
 span, and the lead columns of an echelon basis depend only on the span,
 so rank, missing tokens and projected terms are those of the rational
-closure.  With parameters left the same closure runs over Scalars.
+closure.  With parameters left the same closure and span class run over
+Scalars, and each cross-check draw reruns the closure in ints.
 
 The module-axiom suite runs in ints too, exactly in every parameter: at one
 Kronecker point an integer polynomial within its bounds is zero exactly
@@ -42,8 +43,7 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act, land
 from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
                      parity, render_generator)
-from .scalars import (LinComb, ScalarError, SingularSpecializationError, kronecker_table,
-                      scalar)
+from .scalars import ScalarError, SingularSpecializationError, kronecker_table, scalar
 
 __all__ = [
     "Window",
@@ -133,85 +133,64 @@ def probe_seed() -> int:
 class _RowSpan:
     """A row-reduced span of vectors over a fixed, ordered token list.
 
-    A vector is a ModuleVector or a plain {token: coefficient} dict.  The
-    keys of ``pivots`` are the lead columns of an echelon basis, which
-    depend only on the span, not on the order or scale of the vectors.
-    Here pivot rows are normalized to a unit pivot once and stored negated
-    and without it, so insertion and membership need one division per new
-    pivot and multiply-add elsewhere; coefficients stay lazy fractions
-    throughout.  :class:`_IntSpan` eliminates integer rows fraction-free.
+    A vector is a ModuleVector or a plain {token: coefficient} dict, its
+    coefficients all ints or all Scalars, and a row is the same as a
+    {column: value} dict.  The keys of ``pivots`` are the lead columns of an
+    echelon basis, which depend only on the span, not on the order or scale
+    of the vectors.  A pivot is stored as its lead entry p and the rest,
+    negated; a row with lead entry a is reduced as row * p + rest * a, which
+    clears the lead and keeps the span.  An int pivot is stored primitive
+    and gcd(a, p) is divided out first, so integer rows are eliminated
+    fraction-free and every entry stays an int.  A Scalar pivot is scaled to
+    p = 1 once, so its reductions only multiply and add.
     """
 
     def __init__(self, tokens: list[BasisToken]):
         self.index = {tok: i for i, tok in enumerate(tokens)}
-        self.pivots: dict[int, object] = {}
+        self.pivots: dict[int, tuple] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _to_row(self, vec) -> dict:
-        return {self.index[tok]: coeff for tok, coeff in vec.items()}
-
-    def _reduce(self, row: dict) -> dict:
-        row = LinComb(row)
-        terms = row._terms
-        while terms:
-            pivot = self.pivots.get(lead := min(terms))
-            if pivot is None:
-                break
-            row.add_scaled(pivot, terms.pop(lead))
-        return terms
-
-    def _pivot(self, row: dict, lead: int):
-        coeff = row.pop(lead)
-        return LinComb(row).scale(-(coeff ** -1))
-
-    def insert(self, vec) -> bool:
-        """Add a vector to the span; True when the rank grew."""
-        row = self._reduce(self._to_row(vec))
-        if not row:
-            return False
-        lead = min(row)
-        self.pivots[lead] = self._pivot(row, lead)
-        return True
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(self._to_row(vec))
-
-
-class _IntSpan(_RowSpan):
-    """The span of integer vectors, eliminated fraction-free (Bareiss).
-
-    A pivot row is stored primitive, as its lead entry p and the rest.  A
-    row with lead entry a is reduced by cross-multiplying with the two
-    leads after dividing out their gcd g:  row * (p/g) - pivot * (a/g).
-    Every entry stays an int, and over QQ the span is the same.
-    """
-
-    def _reduce(self, row: dict) -> dict:
-        pivots = self.pivots
+    def _reduce(self, vec) -> dict:
+        index, pivots = self.index, self.pivots
+        row = {index[tok]: coeff for tok, coeff in vec.items()}
         while row:
             pivot = pivots.get(lead := min(row))
             if pivot is None:
                 break
             p, rest = pivot
             a = row.pop(lead)
-            g = gcd(a, p)
-            a, p = a // g, p // g
             if p != 1:
-                row = {col: v * p for col, v in row.items()}
+                g = gcd(a, p)
+                a, p = a // g, p // g
+                if p != 1:
+                    row = {col: v * p for col, v in row.items()}
             for col, v in rest.items():
-                v = row.get(col, 0) - a * v
+                v = row.get(col, 0) + a * v
                 if v:
                     row[col] = v
                 else:
-                    row.pop(col, None)
+                    del row[col]
         return row
 
-    def _pivot(self, row: dict, lead: int):
-        row = _primitive(row)
-        return row.pop(lead), row
+    def insert(self, vec) -> bool:
+        """Add a vector to the span; True when the rank grew."""
+        row = self._reduce(vec)
+        if not row:
+            return False
+        lead = min(row)
+        if isinstance(row[lead], int):
+            row = _primitive(row)
+            p, scale = row.pop(lead), -1
+        else:
+            p, scale = 1, -(row.pop(lead) ** -1)
+        self.pivots[lead] = p, {col: v * scale for col, v in row.items()}
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
 
 
 def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector, int]:
@@ -375,7 +354,7 @@ def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
     start, projected = _project(seed, set(tokens))
     if start.is_zero:
         raise ValueError("the seed lies outside the token window")
-    span = _IntSpan(tokens) if exact else _RowSpan(tokens)
+    span = _RowSpan(tokens)
     held = _primitive if exact else (lambda vec: vec)
     words = _WordCopy(handle, tokens, exact)
     ops = [[(*key, q) for key, q in _cleared(handle.operator(gen)._terms, exact)[0].items()]
@@ -397,6 +376,20 @@ def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
     return span, tokens, projected
 
 
+def _closure_at(handle: GModuleHandle, seed: ModuleVector, window: Window,
+                assignments: dict) -> tuple:
+    """The probe's closure at the requested point or a cross-check draw:
+    handle and seed specialized (kept when nothing is assigned), the seed
+    reduced, then :func:`_close`: (handle, seed, span, tokens, projected)."""
+    handle = handle.specialize(assignments)
+    if assignments:
+        seed = ModuleVector({t: c.specialize(assignments) for t, c in seed._terms.items()})
+    seed = handle.reduce(seed)
+    if seed.is_zero:
+        raise ValueError("the seed must be nonzero (after any specialization)")
+    return handle, seed, *_close(handle, seed, window, not handle.parameters())
+
+
 def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
                specialization: dict | None = None) -> ReachReport:
     """Close a seed under window generator applications and measure rank.
@@ -409,19 +402,13 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
     it applies, and eliminates nothing.  ``specialization`` is a parameter
     assignment applied first (None keeps every parameter symbolic).  At a
     rational point the closure runs in integers (:func:`_close`).  When
-    parameters remain, the symbolic rank is cross-checked at seeded random
-    rationals and the result recorded; a draw on a pole of the module is
-    redrawn, up to ``_CROSS_CHECK_DRAWS`` draws in all.  A seed with no
-    term inside the token window is a ValueError.
+    parameters remain, the symbolic rank is cross-checked by the same
+    closure at seeded random rationals, and the rank recorded; a draw on a
+    pole of the module is redrawn, up to ``_CROSS_CHECK_DRAWS`` draws in
+    all.  A seed with no term inside the token window is a ValueError.
     """
     assignments = dict(specialization or {})
-    handle = handle.specialize(assignments)
-    if assignments:
-        seed = ModuleVector({t: c.specialize(assignments) for t, c in seed._terms.items()})
-    seed = handle.reduce(seed)
-    if seed.is_zero:
-        raise ValueError("the seed must be nonzero (after any specialization)")
-    span, tokens, projected = _close(handle, seed, window, not handle.parameters())
+    handle, seed, span, tokens, projected = _closure_at(handle, seed, window, assignments)
     missing = [render_token(handle.module, tok)
                for i, tok in enumerate(tokens) if i not in span.pivots]
     spec_used: dict[str, str] | str = (
@@ -437,16 +424,15 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
         for attempt in range(1, _CROSS_CHECK_DRAWS + 1):
             draw = {name: Fraction(rng.randint(1, 30), 31) for name in remaining}
             try:
-                cross = span_probe(handle, seed, window, draw)
+                report.cross_check_rank = _closure_at(handle, seed, window, draw)[2].rank
                 break
             except SingularSpecializationError:
                 if attempt == _CROSS_CHECK_DRAWS:
                     raise
-        report.cross_check_rank = cross.rank
         report.notes.append(
             "cross-checked at " + ", ".join(
                 f"{n}={v}" for n, v in sorted(draw.items())))
-        if cross.rank > report.rank:
+        if report.cross_check_rank > report.rank:
             report.notes.append(
                 "cross-check exceeded the symbolic rank; elimination bug")
     return report
@@ -619,26 +605,24 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     acting = [g for g in gens if g.kind != "C"]
     tokens = handle.tokens(window.token_bound)
     image = handle.image
-    # each pair's bracket over one denominator l, as l and [(g, l*c)], and
+    # each pair's bracket over one denominator l, as l and {g: l*c}, and
     # the largest l and l1 norm of l [x,y] over all pairs
     pairs, top_ell, linear = [], 1, 0
     for i, x in enumerate(gens):
         xv = LieVector.basis(x, sector)
         for y in gens[i:]:
-            ratios = [(g, c.as_integer_ratio()) for g, c in bracket(
-                xv, LieVector.basis(y, sector)).items() if g.kind != "C"]
-            ell = lcm(*(r for _, (_, r) in ratios))
-            terms = [(g, p * (ell // r)) for g, (p, r) in ratios]
+            terms, ell = _cleared({g: c for g, c in bracket(
+                xv, LieVector.basis(y, sector)).items() if g.kind != "C"}, True)
             pairs.append((x, y, ell, terms))
             top_ell = max(top_ell, ell)
-            linear = max(linear, sum(abs(c) for _, c in terms))
+            linear = max(linear, sum(map(abs, terms.values())))
     # every image the suite reads: the acting generators on the window
     # tokens and on the tokens their images reach, the brackets on the window
     table = {(g, tok): image(g, tok)._terms for g in acting for tok in tokens}
     reached = {t for terms in table.values() for t in terms}.difference(tokens)
     table.update({(g, t): image(g, t)._terms for g in acting for t in reached})
     table.update({(g, tok): image(g, tok)._terms for *_, terms in pairs
-                  for g, _ in terms for tok in tokens})
+                  for g in terms for tok in tokens})
     # x.(y.tok) and y.(x.tok) each sum at most S products into a coefficient
     support = max(map(len, table.values()))
     values, delta = kronecker_table(table, handle.parameters(),
@@ -659,7 +643,7 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
                     c *= s
                     for u, v in zip(table[then, t], values[then, t]):
                         acc[u] = acc.get(u, 0) + c * v
-            for g, c in terms:
+            for g, c in terms.items():
                 c *= delta
                 for u, v in zip(table[g, tok], values[g, tok]):
                     acc[u] = acc.get(u, 0) - c * v

@@ -159,8 +159,12 @@ class GModuleHandle:
         return self._names
 
     def image(self, gen: Generator, tok: BasisToken) -> ModuleVector:
-        """gen . tok, read from (or added to) the handle's image table."""
-        return _image(self, gen, tok)
+        """gen . tok, reduced, computed once from gen's operator into the image table."""
+        image = self._cache.get((gen, tok))
+        if image is None:
+            image = self._cache[gen, tok] = self.reduce(superize_act(
+                self.module, self.operator(gen), ModuleVector.single(tok)))
+        return image
 
     def operator(self, gen: Generator) -> SDElement:
         """The Weyl-superalgebra element gen acts as, computed once per handle:
@@ -197,15 +201,6 @@ class GModuleHandle:
         }
 
 
-def _image(handle: GModuleHandle, gen: Generator, tok: BasisToken) -> ModuleVector:
-    """gen . tok, reduced, computed once per handle from gen's operator."""
-    image = handle._cache.get((gen, tok))
-    if image is None:
-        image = handle._cache[gen, tok] = handle.reduce(superize_act(
-            handle.module, handle.operator(gen), ModuleVector.single(tok)))
-    return image
-
-
 def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     """Act by a superconformal vector on a constructed module.
 
@@ -221,7 +216,7 @@ def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     for tok, c in handle.reduce(v)._terms.items():
         for gen, coeff in g.items():
             if gen.kind != "C":
-                out.add_scaled(_image(handle, gen, tok), coeff * c)
+                out.add_scaled(handle.image(gen, tok), coeff * c)
     return out
 
 

@@ -203,6 +203,17 @@ def _lift(poly: dict, old_names: tuple[str, ...], new_names: tuple[str, ...]) ->
             for mon, coeff in poly.items()}
 
 
+def _substitute(poly: dict, i: int, p: int, q: int, e: int) -> dict:
+    """q^e times ``poly`` with its i-th parameter set to p/q, e at least
+    its degree there: an integer polynomial with exponent i zero."""
+    out: dict = {}
+    for mon, coeff in poly.items():
+        k = mon[i]
+        mon = (*mon[:i], 0, *mon[i + 1:])
+        out[mon] = out.get(mon, 0) + coeff * p ** k * q ** (e - k)
+    return {mon: coeff for mon, coeff in out.items() if coeff}
+
+
 # One sympy ring per sorted parameter tuple, for the polynomial gcd of
 # ``_canonical``, the one job the kernel leaves to sympy.
 _RING_CACHE: dict[tuple[str, ...], object] = {}
@@ -358,18 +369,6 @@ def kronecker_table(table: dict, names: tuple[str, ...], products: int,
     return out, value(delta)
 
 
-def _to_fraction(value) -> Fraction:
-    """Coerce an int/Fraction/str rational literal to a Fraction."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarParseError(f"not a rational literal: {value!r}") from exc
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational value")
-
-
 def _rational(p: int, r: int = 1) -> "Scalar":
     """The parameter-free Scalar p/r, for coprime ints p and r > 0."""
     out = object.__new__(Scalar)
@@ -472,6 +471,12 @@ class Scalar:
                 if da == db:
                     return Scalar(names, _padd(na, nb), da)
                 if len(da) != 1 or len(db) != 1:
+                    if len(da) > 1 < len(db):
+                        # where one divides the other, meet at the larger
+                        for big, nbig, small, nsmall in ((db, nb, da, na), (da, na, db, nb)):
+                            q = _pexquo(big, small)
+                            if q is not None:
+                                return Scalar(names, _padd(_pmul(nsmall, q), nbig), big)
                     return Scalar(names, _padd(_pmul(na, db), _pmul(nb, da)),
                                   _pmul(da, db))
                 # two monomial denominators meet at their lcm
@@ -660,7 +665,10 @@ class Scalar:
 
         Names in ``assignments`` that this scalar does not depend on are
         ignored, so one assignment map can be applied across a whole vector
-        of coefficients.  Raises :class:`SingularSpecializationError` when
+        of coefficients.  The substitution runs in ints, from the canonical
+        form: for each assigned x = p/q, num and den are both multiplied by
+        q^e, e the largest power of x in either, so a term c x^k becomes
+        c p^k q^(e-k).  Raises :class:`SingularSpecializationError` when
         the (reduced) denominator vanishes at the assignment.  A value left
         with no parameters comes back in the parameter-free form.
         """
@@ -670,26 +678,23 @@ class Scalar:
         if not names:
             # canonical: coprime integer content, positive denominator
             return _rational(_lc(num), _lc(den))
-        assign = {}
-        for name, value in assignments.items():
-            if name in names:
-                assign[name] = _to_fraction(value)
+        assign = {name: Fraction(value) for name, value in assignments.items()
+                  if name in names}
         if not assign:
             return self
-        kept = tuple(n for n in names if n not in assign)
-        new_num = _evaluate(num, names, assign, kept)
-        new_den = _evaluate(den, names, assign, kept)
-        if not new_den:
+        for name, value in assign.items():
+            i = names.index(name)
+            e = max((mon[i] for mon in (*num, *den)), default=0)
+            num, den = (_substitute(part, i, *value.as_integer_ratio(), e)
+                        for part in (num, den))
+        if not den:
             point = ", ".join(f"{n}={assign[n]}" for n in names if n in assign)
             raise SingularSpecializationError(
                 f"denominator of {self} vanishes under {point}")
+        kept = tuple(n for n in names if n not in assign)
+        num, den = _lift(num, names, kept), _lift(den, names, kept)
         if not kept:
-            return scalar(new_num.get((), 0) / new_den[()])
-        # clear the rational values' denominators together, back into ZZ[kept]
-        parts = (new_num, new_den)
-        scale = math.lcm(*(v.denominator for part in parts for v in part.values()))
-        num, den = ({k: (v * scale).numerator for k, v in part.items()}
-                    for part in parts)
+            return scalar(Fraction(num.get((), 0), den[()]))
         return Scalar(kept, num, den)
 
     # ------------------------------------------------------------------
@@ -720,24 +725,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()!r})"
-
-
-def _evaluate(poly, names: tuple[str, ...], assign: dict[str, object],
-              kept: tuple[str, ...]):
-    """Evaluate the assigned generators at their Fraction values, keeping
-    the rest symbolic: the nonzero coefficients by monomial in the kept
-    names."""
-    kept_idx = [names.index(n) for n in kept]
-    data: dict[tuple[int, ...], object] = {}
-    for mon, coeff in poly.items():
-        value = Fraction(coeff)
-        for i, name in enumerate(names):
-            exp = mon[i]
-            if exp and name in assign:
-                value = value * assign[name] ** exp
-        key = tuple(mon[i] for i in kept_idx)
-        data[key] = data.get(key, 0) + value
-    return {k: v for k, v in data.items() if v}
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,17 @@ def test_generic_irreducibility_evidence():
     assert time.perf_counter() - start < 300
 
 
+def test_symbolic_fraction_probe_at_full_window():
+    # every parameter and b symbolic: the image coefficients' denominators
+    # must meet at their lcm where one divides the other, or the closure's
+    # rational functions grow with each level
+    start = time.perf_counter()
+    handle = GModuleHandle(FractionModule(("a0", "a1"), (0, 1)), B)
+    report = span_probe(handle, single(handle.module.pow_token(0)), Window(2, 4, 4))
+    assert report.full and report.rank == report.cross_check_rank == 26
+    assert time.perf_counter() - start < 5
+
+
 def test_n1_restriction_dual_routes():
     for eps2 in (0, 1):
         handle = GModuleHandle(LaurentModule("a"), B, sector=eps2)

@@ -34,7 +34,7 @@ from supermod.dmodules import (
     render_token,
     render_vector,
 )
-from supermod.functors import GModuleHandle, g_act
+from supermod.functors import GModuleHandle, g_act, superize_act
 from supermod.liealg import (
     Generator,
     LieVector,
@@ -44,7 +44,7 @@ from supermod.liealg import (
     parity,
     render_generator,
 )
-from supermod.scalars import SingularSpecializationError, scalar
+from supermod.scalars import Scalar, SingularSpecializationError, scalar
 
 single = ModuleVector.single
 HALF = Fraction(1, 2)
@@ -449,6 +449,36 @@ def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
     assert counting and set(counting) == {rep.ambient}
 
 
+def test_word_copy_rescales_its_sums_on_a_new_denominator():
+    # the word entries of this module lie over different denominators, so
+    # act meets a new one mid-sum and rescales what it has summed so far;
+    # each image must be the superize_act image, split at the window, up
+    # to one common nonzero factor
+    module = FractionModule(("1/3", "1/2"), (0, HALF))
+    for b in (THIRD, 0, HALF):
+        handle = GModuleHandle(module, b)
+        tokens = handle.tokens(1)
+        words = analysis._WordCopy(handle, tokens, True)
+        for gen, _ in analysis._window_generators(0, 1):
+            cleared, _ = analysis._cleared(handle.operator(gen)._terms, True)
+            op = [(*key, q) for key, q in cleared.items()]
+            for first, second in zip(tokens, tokens[1:]):
+                vec = {first: 1, second: 2}
+                got = words.act(op, vec, True)
+                want = handle.reduce(superize_act(module, handle.operator(gen), ModuleVector(
+                    {t: scalar(c) for t, c in vec.items()})))
+                split = [{t: c.as_fraction() for t, c in want.items() if (t in tokens) == inside}
+                         for inside in (False, True)]
+                assert [set(part) for part in got] == [set(part) for part in split]
+                pairs = [(part[t], c) for part, want_part in zip(got, split)
+                         for t, c in want_part.items()]
+                if pairs:
+                    ratio = Fraction(pairs[0][0]) / pairs[0][1]
+                    assert all(x == ratio * c for x, c in pairs), (b, gen, vec)
+        # the entries read lie over more than one denominator
+        assert len({d for d, *_ in words.values()}) > 1
+
+
 # ----------------------------------------------------------------------
 # exactness: the integer closure at a point against its Scalar form
 
@@ -482,11 +512,13 @@ def _point_cases():
 
 def test_integer_closure_reports_what_the_scalar_closure_reports(monkeypatch):
     real_close = analysis._close
-    forms = []
+    forms = set()
 
     def scalar_form(handle, seed, window, exact):
         assert exact  # every case is at a rational point
-        forms.append(type(real_close(handle, seed, window, True)[0]))
+        # the number types the exact closure's pivots hold
+        forms.update(type(v) for p, rest in real_close(handle, seed, window, True)[0]
+                     .pivots.values() for v in (p, *rest.values()))
         return real_close(handle, seed, window, False)
 
     reports = []
@@ -499,7 +531,7 @@ def test_integer_closure_reports_what_the_scalar_closure_reports(monkeypatch):
                     assert span_probe(handle, seed, window).to_json() == exact, \
                         (handle.describe(), render_vector(handle.module, seed), window)
                 reports.append(exact)
-    assert set(forms) == {analysis._IntSpan}
+    assert forms == {int}
     # the cases hold a gap, and most of them project terms
     assert any(not rep["full"] for rep in reports)
     assert sum(rep["projectedTerms"] > 0 for rep in reports) > len(reports) // 2
@@ -536,25 +568,35 @@ def test_fraction_free_span_matches_fraction_elimination(data):
     vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
         lambda row: {c: v for c, v in enumerate(row) if v})
     rows = data.draw(st.lists(vectors.filter(bool), min_size=1, max_size=6))
-    span = analysis._IntSpan(list(range(n)))
-    grew = [span.insert(row) for row in rows]
     pivots, want = _fraction_echelon(rows)
-    assert grew == want
-    assert span.rank == len(pivots) and set(span.pivots) == set(pivots)
-    # rows are stored primitive, all in ints
-    for p, rest in span.pivots.values():
-        assert isinstance(p, int) and all(isinstance(v, int) for v in rest.values())
-        assert gcd(p, *rest.values()) == 1
+    # the same rows as ints, and as parameter-free Scalars over a drawn
+    # denominator per row, which changes no span
+    dens = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    as_scalars = [{c: scalar(Fraction(v, k)) for c, v in row.items()}
+                  for row, k in zip(rows, dens)]
     weights = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
                                  max_size=len(rows)))
     combo = {}
     for w, row in zip(weights, rows):
         for c, v in row.items():
             combo[c] = combo.get(c, 0) + w * v
-    for probe in [{c: v for c, v in combo.items() if v},
-                  *data.draw(st.lists(vectors, max_size=3))]:
-        assert span.contains(probe) == (not _fraction_reduce(pivots, probe)), probe
-    assert span.contains({c: v for c, v in combo.items() if v})
+    probes = [{c: v for c, v in combo.items() if v}, *data.draw(st.lists(vectors, max_size=3))]
+    for form, held in ((int, rows), (Scalar, as_scalars)):
+        span = analysis._RowSpan(list(range(n)))
+        grew = [span.insert(row) for row in held]
+        assert grew == want, form
+        assert span.rank == len(pivots) and set(span.pivots) == set(pivots)
+        for p, rest in span.pivots.values():
+            assert all(isinstance(v, form) for v in rest.values())
+            if form is int:  # int rows are stored primitive
+                assert isinstance(p, int) and gcd(p, *rest.values()) == 1
+            else:  # a Scalar pivot is scaled to a unit lead
+                assert p == 1
+        vecs = [probe if form is int else {c: scalar(v) for c, v in probe.items()}
+                for probe in probes]
+        for probe, vec in zip(probes, vecs):
+            assert span.contains(vec) == (not _fraction_reduce(pivots, probe)), (form, probe)
+        assert span.contains(vecs[0])
 
 
 # ----------------------------------------------------------------------

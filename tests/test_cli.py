@@ -198,6 +198,15 @@ def test_text_format(capsys):
     assert "passed: true" in lines and "violations: []" in lines
 
 
+def test_text_format_lists_the_missing_tokens(capsys):
+    code, out, _ = run(capsys, "probe", "--module", OMEGA, "--b", "1/2",
+                       "--seed", "D^0", "--window", "2,4,4", "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("missing:")
+    assert lines[at + 1] == "  - D^0~" and "full: false" in lines
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-algebra", "--window", "2",

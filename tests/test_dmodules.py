@@ -200,6 +200,7 @@ def test_mixed_families_rejected():
     (LaurentModule("a"), ["t^-3", "t^0", "t^2~"]),
     (OmegaModule("lam"), ["D^0", "D^4~"]),
     (FractionModule(["a0", "a1"], [0, 1]), ["t^2", "t^-3~", "(t-1)^-2"]),
+    (FractionModule(["a0", "a1"], [0, Fraction(-1, 2)]), ["(t+1/2)^-1", "(t+1/2)^-2~"]),
     (DegreeModule(2), ["t^-2*d^1", "t^0*d^0~"]),
 ], ids=lambda val: val if isinstance(val, list) else val.family)
 def test_token_text_round_trip(spec, texts):
@@ -272,6 +273,10 @@ def test_specialize():
     assert fr.alphas[0] == scalar(2)
     assert fr.alphas[1] == Scalar.parameter("a1")
     assert fr.parameters == ("a1",)
+    om = OmegaModule("lam^2 + c").specialize({"lam": Fraction(1, 2)})
+    assert om == OmegaModule("c + 1/4") and om.parameters == ("c",)
+    with pytest.raises(ValueError, match="invertible"):
+        OmegaModule("lam - 2").specialize({"lam": 2})
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermod import liealg
 from supermod.liealg import (
     Generator,
     LieVector,
@@ -105,6 +106,24 @@ def test_jacobi_small_windows():
         assert report.passed, report.violations[:3]
         assert report.checked == len(algebra_generators(sector, 2)) ** 3
         assert report.to_json()["schema"] == "1"
+
+
+def test_jacobi_renders_the_violation_of_a_perturbed_structure_constant(monkeypatch):
+    # doubling [L_1, H_1] = -H_2 breaks the identity, first on L_-1, L_1, H_1
+    real = liealg._basis_bracket
+
+    def perturbed(x, y):
+        out = real(x, y)
+        if (x, y) == (Generator("L", 2), Generator("H", 2)):
+            return [(g, 2 * c) for g, c in out]
+        return out
+
+    monkeypatch.setattr(liealg, "_basis_bracket", perturbed)
+    report = jacobi_check(0, 1)
+    assert not report.passed and len(report.violations) == 42
+    assert report.violations[0] == {"x": "L[-1]", "y": "L[1]", "z": "H[1]",
+                                    "value": "2*H[1]"}
+    assert report.violations[1]["value"] == "H[2]"
 
 
 def test_n1_relations():

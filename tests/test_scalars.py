@@ -615,6 +615,18 @@ def test_monomial_denominators_meet_at_their_lcm():
     assert odd._d == {(1,): 6} and odd == Scalar.parse("1/(6*l)")
 
 
+def test_a_denominator_that_divides_the_other_meets_it_at_the_larger():
+    # x/(a+1) + y/(a+1)^2 is over (a+1)^2, not the cross product (a+1)^3
+    x, y = Scalar.parameter("x"), Scalar.parameter("y")
+    got = x / Scalar.parse("a + 1") + y / Scalar.parse("(a + 1)^2")
+    assert got._names == ("a", "x", "y")
+    assert got._d == {(2, 0, 0): 1, (1, 0, 0): 2, (0, 0, 0): 1}
+    assert got == Scalar.parse("(a*x + x + y)/(a^2 + 2*a + 1)")
+    # in either order, and not where neither divides the other
+    assert (y / Scalar.parse("(a + 1)^2") + x / Scalar.parse("a + 1"))._d == got._d
+    assert len((x / Scalar.parse("a + 1") + y / Scalar.parse("a + 2"))._d) == 3
+
+
 # ----------------------------------------------------------------------
 # Kronecker certificates: one int tests an identity among cleared entries
 
