@@ -41,8 +41,8 @@ from math import gcd, lcm
 
 from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, render_vector
 from .functors import GModuleHandle, g_act, land
-from .liealg import (Generator, LieVector, VerificationReport, algebra_generators, bracket,
-                     parity, render_generator)
+from .liealg import (Generator, LieVector, VerificationReport, _basis_bracket,
+                     algebra_generators, bracket, parity, render_generator)
 from .scalars import ScalarError, SingularSpecializationError, kronecker_table, scalar
 
 __all__ = [
@@ -287,22 +287,30 @@ def _primitive(vec: dict) -> dict:
 
 
 class _WordCopy(dict):
-    """A probe's copy of its module's word table, and the action read from it.
+    """A copy of a module's word table at a point, and the action read from it.
 
     ``copy[k, l, tok]`` is t^k D^l applied to tok, reduced and split at the
-    token window into (den, outside, inside), both parts cleared to ints
-    over den at a point (:func:`_cleared`).  Entries are filled on first
-    read from :meth:`DModule.word`.
+    token window into (den, outside, inside).  Entries are filled on first
+    read from :meth:`DModule.word`, evaluated at the point: at a rational
+    point (``exact``) both parts are cleared to ints over den
+    (:func:`_cleared`, through ``as_integer_ratio``); with parameters left
+    they are its Scalars over 1.  For the module-axiom suite
+    (:func:`module_axiom_check`) ``at``, the words' values at a Kronecker
+    point over one common denominator, replaces that reading.  The copy
+    acts on ``tokens``; ``window``, by default the same tokens, is where it
+    splits.
     """
 
-    def __init__(self, handle: GModuleHandle, tokens: list[BasisToken], exact: bool):
-        self.word, self.exact = handle.module.word, exact
-        self.allowed, self.killed = set(tokens), handle.killed_token
-        # where each Clifford unit c = 0..3 (see weyl) sends each window token
+    def __init__(self, handle: GModuleHandle, tokens, exact: bool, at=None, window=None):
+        self.word, self.exact, self.at = handle.module.word, exact, at
+        self.allowed = set(tokens if window is None else window)
+        self.killed = handle.killed_token
+        # where each Clifford unit c = 0..3 (see weyl) sends each token acted on
         self.lands = {tok: [land(c, tok) for c in range(4)] for tok in tokens}
 
     def __missing__(self, key):
-        terms, den = _cleared(self.word(*key)._terms, self.exact)
+        at = self.at
+        terms, den = _cleared(self.word(*key)._terms, self.exact) if at is None else (at[key], 1)
         allowed, killed = self.allowed, self.killed
         entry = self[key] = (
             den, {t: x for t, x in terms.items() if t not in allowed and t != killed},
@@ -588,45 +596,67 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
 
     All homogeneous generator pairs with indices inside the window act on
     every window token (C acts as zero); nothing is projected, so the
-    identities are exact in all module parameters and b.  Every image the
-    suite reads is put in the handle's image table, cleared over one common
-    denominator Delta and evaluated at one Kronecker point
-    (:func:`kronecker_table`).  Each identity's numerator
-    N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok), l the lcm of the
-    bracket's denominators, is an integer polynomial in the entries with
-    coefficients at most H = 2 S l M^2 + |l [x,y]|_1 |Delta|_1 M (M the
-    largest l1 norm of an entry, S the largest image support), so at that
-    point it is zero exactly when its value, a sum of int products, is: a
-    certificate, not a sample.  A failing case renders its difference from
-    the Scalar images.
+    identities are exact in all module parameters and b.  Each image the
+    suite reads is a sum of q * word over its generator's operator words
+    (k, l, c, q) (:meth:`GModuleHandle.operator`), each word read from the
+    module's word table at the token c lands on.  The operator
+    coefficients and every word those images reach are cleared and
+    evaluated at one Kronecker point (:func:`kronecker_table`), and the
+    images are summed from them in ints by the probe's word action
+    (:class:`_WordCopy`), all over one common denominator Delta.  Each
+    identity's numerator N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok),
+    l the lcm of the bracket's denominators, is an integer polynomial in
+    the entries with coefficients at most H = 2 S l M^2 + |l [x,y]|_1
+    |Delta|_1 M (M the bound on an entry's l1 norm from its factors, S the
+    largest support its words give an image), so at that point it is zero
+    exactly when its value, a sum of int products, is: a certificate, not a
+    sample.  A failing case renders its difference from the Scalar images
+    (:func:`g_act`).
     """
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
     acting = [g for g in gens if g.kind != "C"]
     tokens = handle.tokens(window.token_bound)
-    image = handle.image
     # each pair's bracket over one denominator l, as l and {g: l*c}, and
     # the largest l and l1 norm of l [x,y] over all pairs
     pairs, top_ell, linear = [], 1, 0
     for i, x in enumerate(gens):
-        xv = LieVector.basis(x, sector)
         for y in gens[i:]:
-            terms, ell = _cleared({g: c for g, c in bracket(
-                xv, LieVector.basis(y, sector)).items() if g.kind != "C"}, True)
+            terms, ell = _cleared({g: c for g, c in _basis_bracket(x, y) if g.kind != "C"}, True)
             pairs.append((x, y, ell, terms))
             top_ell = max(top_ell, ell)
             linear = max(linear, sum(map(abs, terms.values())))
-    # every image the suite reads: the acting generators on the window
-    # tokens and on the tokens their images reach, the brackets on the window
-    table = {(g, tok): image(g, tok)._terms for g in acting for tok in tokens}
-    reached = {t for terms in table.values() for t in terms}.difference(tokens)
-    table.update({(g, t): image(g, t)._terms for g in acting for t in reached})
-    table.update({(g, tok): image(g, tok)._terms for *_, terms in pairs
-                  for g in terms for tok in tokens})
-    # x.(y.tok) and y.(x.tok) each sum at most S products into a coefficient
-    support = max(map(len, table.values()))
-    values, delta = kronecker_table(table, handle.parameters(),
-                                    2 * support * top_ell, linear)
+    ops = {g: handle.operator(g)._terms for g in acting}
+    ops.update((g, handle.operator(g)._terms) for *_, terms in pairs for g in terms)
+
+    def closure(image) -> dict:
+        """image(g, tok) on every pair the suite reads: each generator on the
+        window tokens, and the acting ones on every token those reach."""
+        out = {(g, tok): image(g, tok) for g in ops for tok in tokens}
+        reached = set().union(*(out[g, tok] for g in acting for tok in tokens))
+        out.update({(g, t): image(g, t) for t in reached.difference(tokens) for g in acting})
+        return out
+
+    # the supports first, from the words each image applies, read into
+    # ``raw``; x.(y.tok) and y.(x.tok) each sum at most S products into a
+    # coefficient, S the largest support
+    word, killed, raw = handle.module.word, handle.killed_token, {}
+
+    def reach(g, tok) -> set:
+        keys = [(k, l, t) for k, l, c in ops[g] if (t := land(c, tok)) is not None]
+        for key in keys:
+            if key not in raw:
+                raw[key] = word(*key)._terms
+        return set().union(*(raw[key] for key in keys)).difference([killed])
+
+    supports = closure(reach)
+    at_ops, at_words, delta = kronecker_table(
+        ops, raw, handle.parameters(), 2 * max(map(len, supports.values())) * top_ell, linear)
+    # the images, in ints, by the word action on every token they reach,
+    # with an empty window so that no term is split off
+    words = _WordCopy(handle, {t for _, t in supports}, True, at_words, ())
+    acts = {g: [(*key, q) for key, q in row.items()] for g, row in at_ops.items()}
+    images = closure(lambda g, tok: words.act(acts[g], {tok: 1}, False)[0])
     report = VerificationReport(
         "module-axiom", {"window": window.to_json(), "sector": sector,
                          "tags": list(handle.tags)})
@@ -636,16 +666,16 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
         # entries is over Delta^2 and an entry over Delta, so the bracket
         # terms are scaled by Delta
         steps = () if "C" in (x.kind, y.kind) else ((y, x, ell), (x, y, -sign * ell))
+        terms = [(g, c * delta) for g, c in terms.items()]
         for tok in tokens:
             acc: dict = {}
             for first, then, s in steps:
-                for t, c in zip(table[first, tok], values[first, tok]):
+                for t, c in images[first, tok].items():
                     c *= s
-                    for u, v in zip(table[then, t], values[then, t]):
+                    for u, v in images[then, t].items():
                         acc[u] = acc.get(u, 0) + c * v
-            for g, c in terms.items():
-                c *= delta
-                for u, v in zip(table[g, tok], values[g, tok]):
+            for g, c in terms:
+                for u, v in images[g, tok].items():
                     acc[u] = acc.get(u, 0) - c * v
             report.checked += 1
             if any(acc.values()):

@@ -28,8 +28,9 @@ division ``x * y ** -1`` after a zero check, and equality
 ``(x - y).is_zero``; these run in parsing and in the catalog's
 comparisons, not in a check's inner loop.
 
-:func:`kronecker_table` tests identities among a table of values in ints,
-exactly, at one Kronecker point.
+:func:`kronecker_table` clears and evaluates two tables of factors at one
+Kronecker point, where identities among sums of their products are tested
+in ints, exactly.
 
 Two symbolic values over different parameter tuples meet in the union
 ring (``_unify``).  A module handle fixes one tuple and re-expresses b and
@@ -39,8 +40,9 @@ where values enter: parsing and specialization.
 The representation is lazy.  Sums and products keep an unreduced num/den
 pair, and the gcd cancellation needed for a canonical form runs only where
 canonical data is actually required: hashing, printing and specialization.
-Where num or den is a constant the content gcd alone cancels; only the gcd
-of two non-constant polynomials goes to sympy, which is imported then
+Where num or den is a monomial (a constant among them) the content gcd
+times the common monomial factor cancels; only the gcd of two
+non-monomial polynomials goes to sympy, which is imported then
 (``_get_ring``) and never for a parameter-free value.  The canonical
 form is the reduced fraction with coprime integer content across
 numerator and denominator and a positive leading coefficient of the
@@ -237,7 +239,14 @@ def _get_ring(names: tuple[str, ...]):
 def _cancel(num: dict, den: dict, names: tuple[str, ...]) -> tuple[dict, dict]:
     """num/den over ZZ[names] divided by their gcd, with coprime integer
     content and a positive leading coefficient of the denominator."""
-    if _ground(num) is None and _ground(den) is None:
+    if len(num) == 1 or len(den) == 1:
+        # a monomial side: the gcd is the content gcd times x^e, e the
+        # least exponents of both sides
+        low = tuple(map(min, zip(*num, *den)))
+        if any(low):
+            num, den = ({tuple(e - f for e, f in zip(mon, low)): coeff
+                         for mon, coeff in side.items()} for side in (num, den))
+    elif _ground(num) is None and _ground(den) is None:
         rng = _get_ring(names)
         _, num, den = rng.from_dict(num).cofactors(rng.from_dict(den))
         num = {mon: int(coeff) for mon, coeff in num.items()}
@@ -276,97 +285,147 @@ def _denominator_parts(den: dict) -> tuple[int, tuple, frozenset]:
 
 def _pexquo(a: dict, b: dict) -> dict | None:
     """a / b when b divides a over ZZ, else None, by long division in lex
-    order: a multiple of b has b's leading term dividing its own."""
+    order: a multiple of b has b's leading term dividing its own.  The
+    remainder is one working copy of a, reduced in place, and its
+    monomials wait on a heap, largest first: each step only adds terms
+    below the one it clears."""
+    from heapq import heapify, heappop, heappush  # on first use, not with the package
+
     mb = max(b)
     cb, out = b[mb], {}
-    while a:
-        ma = max(a)
+    rest = [(mon, coeff) for mon, coeff in b.items() if mon != mb]
+    add = _monomial_mul(len(mb))
+    a = dict(a)
+    heap = [tuple(-e for e in mon) for mon in a]
+    heapify(heap)
+    while heap:
+        ma = tuple(-e for e in heappop(heap))
+        ca = a.pop(ma, 0)
+        if not ca:  # cancelled, or already cleared from an earlier entry
+            continue
         mon = tuple(x - y for x, y in zip(ma, mb))
-        if min(mon, default=0) < 0 or a[ma] % cb:
+        if min(mon, default=0) < 0 or ca % cb:
             return None
-        out[mon] = a[ma] // cb
-        a = _padd(a, _pmul(b, {mon: -out[mon]}))
+        q = out[mon] = ca // cb
+        for m, coeff in rest:
+            m = add(mon, m)
+            old = a.get(m)
+            if old is None:
+                a[m] = -q * coeff
+                heappush(heap, tuple(-e for e in m))
+            elif old == q * coeff:
+                del a[m]
+            else:
+                a[m] = old - q * coeff
     return out
 
 
-def kronecker_table(table: dict, names: tuple[str, ...], products: int,
-                    linear: int) -> tuple[dict, int]:
-    """A table {key: {key2: Scalar}} over ``names``, cleared and evaluated.
+def _clear(table: dict, names: tuple[str, ...]) -> tuple[dict, list, dict, dict]:
+    """A table {key: {key2: Scalar}} over ``names``, cleared over its Delta.
 
-    Each coefficient n/d is read raw, so no gcd runs, and cleared over
-    Delta: the lcm of the denominators' monomial parts c*x^e times their
-    primitive parts, largest first, each skipped where it divides the
-    product of those taken (an exact division, not a gcd).  The entries
-    e = n*Delta/d are integer polynomials; they and Delta are evaluated at
-    a Kronecker point where every identity
-
-        sum w * e * e'  -  Delta * sum u * e''  =  0,
-
-    w, u ints with sum |w| <= ``products`` and sum |u| <= ``linear``, holds
-    exactly when its value does.  With M the largest l1 norm of an entry
-    and d_i its largest degree in x_i, B is taken from the identity's
-    coefficient bound H = products*M^2 + linear*|Delta|_1*M, and
-    D_i = max(2 d_i, deg_i Delta + d_i) + 1.  Returns ({key: [the ints
-    of its row, in the row's order]}, the value of Delta).
+    Returns {key: {key2: i}}, i indexing the distinct Scalars read (by
+    identity) in a list of (n, parts of d) for each coefficient n/d, then
+    {parts of d: Delta/d} and Delta.  Each coefficient is read raw, so no
+    gcd runs.  Delta is the lcm of the denominators' monomial parts c*x^e
+    times their primitive parts, largest first, each skipped where it
+    divides the product of those taken (an exact division, not a gcd).
     """
     zero = (0,) * len(names)
-    rationals: dict = {}  # r -> the parts of a rational's denominator r
-    polys: dict = {}  # id(den) -> (den, its parts), den kept so its id stays
-
-    def read():
-        """(key, raw numerator, denominator parts) of each coefficient."""
-        for key, terms in table.items():
-            for c in terms.values():
-                if c._p is not None:
-                    parts = rationals.get(c._r)
-                    if parts is None:
-                        parts = rationals[c._r] = _denominator_parts({zero: c._r})
-                    yield key, {zero: c._p}, parts
-                    continue
+    seen: dict = {}  # -r or id(d) -> (d, its parts), d kept so its id stays
+    index: dict = {}  # id(c) -> i; the table keeps each c, so its id stays
+    factors, rows = [], {}
+    for key, terms in table.items():
+        row = rows[key] = {}
+        for key2, c in terms.items():
+            if (i := index.get(id(c))) is not None:
+                row[key2] = i
+                continue
+            row[key2] = index[id(c)] = len(factors)
+            if c._p is None:
                 c = c.over(names)
-                hit = polys.get(id(c._d))
-                if hit is None:
-                    hit = polys[id(c._d)] = c._d, _denominator_parts(c._d)
-                yield key, c._n, hit[1]
-
-    # per distinct denominator, its numerators' largest l1 norm and degrees
-    reach: dict = {}
-    for _, num, parts in read():
-        if num:
-            n, d = reach.get(parts, (0, zero))
-            reach[parts] = max(n, sum(map(abs, num.values()))), tuple(map(max, zip(d, *num)))
-    scale = math.lcm(*(c for c, _, _ in reach))
-    top = tuple(map(max, zip(zero, *(e for _, e, _ in reach))))
-    prims = {P: dict(P) for _, _, P in reach}
+                num, den, tag = c._n, c._d, id(c._d)
+            else:
+                num, den, tag = {zero: c._p} if c._p else {}, {zero: c._r}, -c._r
+            hit = seen.get(tag)
+            if hit is None:
+                hit = seen[tag] = den, _denominator_parts(den)
+            factors.append((num, hit[1]))
+    dens = {parts for _, parts in seen.values()}
+    scale = math.lcm(*(c for c, _, _ in dens))
+    top = tuple(map(max, zip(zero, *(e for _, e, _ in dens))))
+    prims = {P: dict(P) for _, _, P in dens}
     product = {zero: 1}
     for P in sorted(prims.values(), key=lambda P: (-max(map(sum, P)), sorted(P.items()))):
         if _pexquo(product, P) is None:
             product = _pmul(product, P)
-    delta = _pmul(product, {top: scale})
-    # Delta/d for each distinct denominator d, and the bounds
     quotients = {(c, e, P): _pmul(_pexquo(product, prims[P]),
                                   {tuple(t - f for t, f in zip(top, e)): scale // c})
-                 for c, e, P in reach}
-    norm, degree = 0, zero
-    for parts, (n, d) in reach.items():
-        q = quotients[parts]
-        norm = max(norm, n * sum(map(abs, q.values())))
-        degree = tuple(map(max, zip(degree, [a + b for a, b in zip(d, map(max, zip(*q)))])))
-    height = products * norm * norm + linear * sum(map(abs, delta.values())) * norm
+                 for c, e, P in dens}
+    return rows, factors, quotients, _pmul(product, {top: scale})
+
+
+def kronecker_table(ops: dict, words: dict, names: tuple[str, ...], products: int,
+                    linear: int) -> tuple[dict, dict, int]:
+    """Two tables {key: {key2: Scalar}} over ``names``, cleared and evaluated.
+
+    The identities are among entries e = sum q*w, each a sum over the
+    coefficients q of one ``ops`` row, each taken at most once, of q times a
+    coefficient w of some ``words`` row.  Each table is cleared over its own
+    Delta (:func:`_clear`), so Q = q*Delta_o and W = w*Delta_w are integer
+    polynomials, and so is each entry times Delta = Delta_o*Delta_w.  Q, W
+    and Delta are evaluated at a Kronecker point where every identity
+
+        sum v * e * e'  -  Delta * sum u * e''  =  0,
+
+    v, u ints with sum |v| <= ``products`` and sum |u| <= ``linear``, holds
+    exactly when its value does.  The bounds come from the factors, where
+    a factor n*(Delta/d) has l1 norm at most |n|_1 |Delta/d|_1 and degree at
+    most that of n plus that of Delta/d.  An entry's l1 norm is at most
+    sum |Q|_1 |W|_1 over its terms, so at most M = (the largest l1 norm of
+    an ops row) * (the largest l1 norm of a words row), and its degree in
+    x_i at most d_i = (the largest deg_i Q) + (the largest deg_i W).  B is
+    taken from the identity's coefficient bound
+    H = products*M^2 + linear*|Delta|_1*M, and
+    D_i = max(2 d_i, deg_i Delta + d_i) + 1.  Returns the two tables at that
+    point, {key: {key2: int}}, and the value of Delta.
+    """
+    zero = (0,) * len(names)
+    *ops, delta_o = _clear(ops, names)
+    *words, delta_w = _clear(words, names)
+    delta = _pmul(delta_o, delta_w)
+
+    def l1(poly: dict) -> int:
+        return sum(map(abs, poly.values()))
+
+    def degree(polys) -> tuple:
+        return tuple(map(max, zip(zero, *(mon for poly in polys for mon in poly))))
+
+    def bounds(rows: dict, factors: list, quotients: dict) -> tuple[int, list]:
+        """The largest l1 norm of a row and the largest degrees of a factor."""
+        norms = {parts: l1(q) for parts, q in quotients.items()}
+        norms = [l1(n) * norms[parts] for n, parts in factors]
+        return (max((sum(norms[i] for i in row.values()) for row in rows.values()), default=0),
+                [a + b for a, b in zip(degree(n for n, _ in factors),
+                                       degree(quotients.values()))])
+
+    (norm_o, deg_o), (norm_w, deg_w) = bounds(*ops), bounds(*words)
+    norm = norm_o * norm_w
+    height = products * norm * norm + linear * l1(delta) * norm
     shifts, stride = [], height.bit_length() + 1
-    for d, dd in zip(degree, map(max, zip(*delta))):
+    for do, dw, dd in zip(deg_o, deg_w, degree([delta])):
         shifts.append(stride)
-        stride *= max(2 * d, dd + d) + 1
+        stride *= max(2 * (do + dw), dd + do + dw) + 1
 
     def value(poly: dict) -> int:
         return sum(coeff << sum(a * s for a, s in zip(mon, shifts))
                    for mon, coeff in poly.items())
 
-    at = {parts: value(q) for parts, q in quotients.items()}
-    out: dict = {key: [] for key in table}
-    for key, num, parts in read():
-        out[key].append(value(num) * at[parts] if num else 0)
-    return out, value(delta)
+    def evaluate(rows: dict, factors: list, quotients: dict) -> dict:
+        at = {parts: value(q) for parts, q in quotients.items()}
+        values = [value(n) * at[parts] for n, parts in factors]
+        return {key: {key2: values[i] for key2, i in row.items()} for key, row in rows.items()}
+
+    return evaluate(*ops), evaluate(*words), value(delta)
 
 
 def _rational(p: int, r: int = 1) -> "Scalar":
@@ -446,9 +505,10 @@ class Scalar:
     # arithmetic
     #
     # Only the operators the checks run hot are written out.  One pass of
-    # the axiom suite makes about 14k products, 2k sums, 140 negations,
-    # 76 powers and no -, / or ==, all of them building its handles' image
-    # tables (its identities run in ints, :func:`kronecker_table`); a
+    # the axiom suite makes about 2.3k products, 200 sums, 140 negations,
+    # 76 powers and no -, / or ==, all of them building its operators and
+    # word tables (its images and identities run in ints,
+    # :func:`kronecker_table`); a
     # probe pass makes about 6.5k products, 650 sums, 360 negations and
     # 90 powers and divisions, before its closure runs in ints.  Each hot
     # operator settles the parameter-free cases first.  Two rationals p/r

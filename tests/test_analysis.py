@@ -1,5 +1,6 @@
 """Window analysis: span probes, operator identities, submodules, witnesses."""
 
+import json
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermod import analysis
+from supermod import analysis, functors
+from supermod.cli import main
 from supermod.analysis import (
     ReachReport,
     SingularNormalizerError,
@@ -731,12 +733,10 @@ def _axiom_check_through_g_act(handle, window):
 
 
 def _perturb(handle):
-    """Double L[1] . tok in the handle's image table, tok the first window
-    token with a nonzero image."""
+    """Double L[1]'s operator in the handle's table: every image of L[1] is
+    summed from it, by the integer certificate and by g_act alike."""
     gen = Generator("L", 2)
-    tok = next(tok for tok in handle.tokens(1)
-               if not handle.image(gen, tok).is_zero)
-    handle._cache[gen, tok] = handle.image(gen, tok).scale(2)
+    handle._cache[gen, None] = handle.operator(gen).scale(2)
 
 
 AXIOM_HANDLES = {
@@ -773,7 +773,7 @@ def test_module_axioms_match_the_g_act_composition(name, perturbed):
 
 
 def test_module_axioms_fail_on_a_perturbed_image():
-    # negative control: one doubled table entry must fail the suite, and
+    # negative control: one doubled operator must fail the suite, and
     # each violation must name the same difference lhs - rhs as composing
     # g_act by hand
     handle = laurent()
@@ -784,3 +784,36 @@ def test_module_axioms_fail_on_a_perturbed_image():
     assert not rep.passed and rep.violations
     assert all(v["difference"] != "0" for v in rep.violations)
     assert rep.violations == _axiom_check_through_g_act(handle, window).violations
+
+
+SYMBOLIC_SPECS = {
+    "laurent": '{"family":"laurent","alpha":"a"}',
+    "omega": '{"family":"omega","lambda":"l"}',
+    "fraction": '{"family":"fraction","alphas":["a0","a1"],"betas":["0","1"]}',
+    "degree": '{"family":"degree","n":2}',
+}
+
+
+@pytest.mark.parametrize("sigma", [False, True], ids=["plain", "sigma"])
+@pytest.mark.parametrize("sector", ["0", "1/2"])
+@pytest.mark.parametrize("family", list(SYMBOLIC_SPECS))
+def test_a_passing_check_module_builds_no_scalar_image(family, sector, sigma,
+                                                        monkeypatch, capsys):
+    # the certificate reads operators and words at its Kronecker point;
+    # Scalar images are built only to render a failing case
+    calls = []
+    real_act, real_image = functors.superize_act, GModuleHandle.image
+    monkeypatch.setattr(functors, "superize_act",
+                        lambda *args: calls.append("superize_act") or real_act(*args))
+    monkeypatch.setattr(GModuleHandle, "image",
+                        lambda self, *args: calls.append("image") or real_image(self, *args))
+    argv = ["check-module", "--module", SYMBOLIC_SPECS[family], "--b", "b",
+            "--sector", sector, "--window", "1,1"] + ["--sigma"] * sigma
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["checked"] > 0
+    assert calls == []
+    # the spies do see the Scalar images g_act builds
+    handle = laurent()
+    g_act(handle, LieVector.basis(Generator("L", 2), 0), single(handle.module.token(0)))
+    assert calls == ["image", "superize_act"]

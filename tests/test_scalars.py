@@ -529,6 +529,62 @@ def test_kernel_matches_sympy_rings(triple, k):
     assert (a, b, c) == before
 
 
+@st.composite
+def monomial_sided_pairs(draw):
+    """num, den over 1-3 names, one of them a single term: a monomial
+    times a constant, with a planted common monomial factor or not."""
+    names = ("a", "b", "c")[:draw(st.integers(min_value=1, max_value=3))]
+    mons = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(names))
+    coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
+    poly = draw(st.dictionaries(mons, coeffs, min_size=1, max_size=4))
+    single = {draw(mons): draw(coeffs)}
+    if draw(st.booleans()):
+        shift = {draw(mons): draw(st.sampled_from([1, 2, -3]))}
+        poly, single = kernel._pmul(poly, shift), kernel._pmul(single, shift)
+    return (names, poly, single) if draw(st.booleans()) else (names, single, poly)
+
+
+@_fixed
+@given(monomial_sided_pairs())
+def test_monomial_side_gcd_matches_sympy_cofactors(pair):
+    names, num, den = pair
+    R = _oracle_ring(names)
+    _, pn, pd = R.from_dict(num).cofactors(R.from_dict(den))
+    want = _from_oracle(pn), _from_oracle(pd)
+    content = math.gcd(*want[0].values(), *want[1].values())
+    content *= -1 if want[1][max(want[1])] < 0 else 1
+    want = tuple({mon: c // content for mon, c in side.items()} for side in want)
+    before = dict(num), dict(den)
+
+    def no_ring(names):
+        raise AssertionError("a monomial side needs no polynomial gcd")
+
+    real, kernel._get_ring = kernel._get_ring, no_ring
+    try:
+        got = kernel._cancel(num, den, names)
+    finally:
+        kernel._get_ring = real
+    assert got == want and (num, den) == before
+
+
+@_fixed
+@given(poly_triples(), st.integers(min_value=-3, max_value=3).filter(bool), st.data())
+def test_exact_quotient_divides_a_product_and_rejects_a_perturbed_one(triple, c, data):
+    names, a, b, _ = triple
+    if not b:
+        return
+    before = dict(a), dict(b)
+    product = kernel._pmul(a, b)
+    assert kernel._pexquo(product, b) == a
+    if len(b) > 1:
+        # a non-monomial b divides no single term, so not a*b + c x^m
+        mon = data.draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * len(names)))
+        bumped = kernel._padd(product, {mon: c})
+        assert kernel._pexquo(bumped, b) is None
+        assert bumped == kernel._padd(product, {mon: c})
+    assert (a, b) == before
+
+
 def test_kernel_drops_cancelled_terms():
     up, down = {(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}
     assert kernel._pmul(up, down) == {(2,): 1, (0,): -1}
@@ -630,21 +686,24 @@ def test_a_denominator_that_divides_the_other_meets_it_at_the_larger():
 # ----------------------------------------------------------------------
 # Kronecker certificates: one int tests an identity among cleared entries
 
-def _kronecker_zero(entries, names, products, linear):
-    """Whether sum w e_i e_j - sum u e_k is zero at the kernel's point."""
-    values, delta = kernel.kronecker_table(
-        {i: {0: e} for i, e in enumerate(entries)}, names,
-        sum(abs(w) for *_, w in products), sum(abs(u) for _, u in linear))
-    v = [values[i][0] for i in range(len(entries))]
-    return (sum(w * v[i] * v[j] for i, j, w in products)
-            - delta * sum(u * v[k] for k, u in linear)) == 0
+def _kronecker_zero(entries, words, names, products, linear):
+    """Whether sum v e_i e_j - sum u e_k is zero at the kernel's point, each
+    entry e_i a list of (q, index of w) pairs read as sum q * words[index]."""
+    at_ops, at_words, delta = kernel.kronecker_table(
+        {i: dict(enumerate(q for q, _ in entry)) for i, entry in enumerate(entries)},
+        {n: {0: w} for n, w in enumerate(words)}, names,
+        sum(abs(v) for *_, v in products), sum(abs(u) for _, u in linear))
+    e = [sum(at_ops[i][j] * at_words[n][0] for j, (_, n) in enumerate(entry))
+         for i, entry in enumerate(entries)]
+    return (sum(v * e[i] * e[j] for i, j, v in products)
+            - delta * sum(u * e[k] for k, u in linear)) == 0
 
 
 @st.composite
 def kronecker_identities(draw):
-    """Entries over 0-3 names with unit, constant, monomial, shared and
-    non-monomial denominators, and an identity among them that holds by
-    construction unless a random term is added to it."""
+    """Entries sum q * w over 0-3 names, factors with unit, constant,
+    monomial, shared and non-monomial denominators, and an identity among
+    the entries that holds by construction unless a random term is added."""
     names = ("a", "b", "c")[:draw(st.integers(min_value=0, max_value=3))]
     zero = (0,) * len(names)
     mons = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(names))
@@ -653,61 +712,77 @@ def kronecker_identities(draw):
     dens = [{zero: 1}, {zero: draw(st.integers(min_value=2, max_value=6))},
             {draw(mons): draw(st.sampled_from([1, -2, 3]))},
             draw(polys.filter(bool))]
-    entries = []
-    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+
+    def factor():
         if not names or draw(st.booleans()):
-            entries.append(scalar(Fraction(draw(coeffs), draw(st.integers(1, 4)))))
-        else:
-            entries.append(Scalar(names, draw(polys), draw(st.sampled_from(dens))))
+            return scalar(Fraction(draw(coeffs), draw(st.integers(1, 4))))
+        return Scalar(names, draw(polys), draw(st.sampled_from(dens)))
+
+    words = [factor() for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    entries = [[(factor(), draw(st.integers(0, len(words) - 1)))
+                for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+               for _ in range(draw(st.integers(min_value=2, max_value=5)))]
     n = len(entries)
     pick = st.integers(min_value=0, max_value=n - 1)
     weight = st.integers(min_value=-3, max_value=3).filter(bool)
     products, linear = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        i, j, w = draw(pick), draw(pick), draw(weight)
-        entries.append(entries[i] * entries[j])  # cleared over Delta, e_i e_j = Delta e_k
-        products.append((i, j, w))
-        linear.append((len(entries) - 1, w))
+        i, j, v = draw(pick), draw(pick), draw(weight)
+        # e_i e_j over Delta^2 is Delta e_k, e_k the product as one q * w
+        value = [sum((q * words[m] for q, m in entries[i]), ZERO),
+                 sum((q * words[m] for q, m in entries[j]), ZERO)]
+        words.append(value[1])
+        entries.append([(value[0], len(words) - 1)])
+        products.append((i, j, v))
+        linear.append((len(entries) - 1, v))
     if draw(st.booleans()):
         products.append((draw(pick), draw(pick), draw(weight)))
     if draw(st.booleans()):
         linear.append((draw(pick), draw(weight)))
-    return names, entries, products, linear
+    return names, entries, words, products, linear
 
 
 @_fixed
 @given(kronecker_identities())
 def test_kronecker_zero_test_matches_polynomial_arithmetic(identity):
-    names, entries, products, linear = identity
+    names, entries, words, products, linear = identity
     # the same identity in QQ(names), through _pmul/_padd
+    e = [sum((q * words[n] for q, n in entry), ZERO) for entry in entries]
     total = ZERO
-    for i, j, w in products:
-        total = total + entries[i] * entries[j] * w
+    for i, j, v in products:
+        total = total + e[i] * e[j] * v
     for k, u in linear:
-        total = total - entries[k] * u
-    assert _kronecker_zero(entries, names, products, linear) == total.is_zero
+        total = total - e[k] * u
+    assert _kronecker_zero(entries, words, names, products, linear) == total.is_zero
 
 
 def test_kronecker_point_keeps_carries_and_monomials_apart():
     x, y = Scalar.parameter("x"), Scalar.parameter("y")
-    # x - 4M for M = 2^6, the largest entry norm: at 2^B with 2^(B-1) > M
-    # alone, 4M carries into the x digit and the sum vanishes
-    assert not _kronecker_zero([x, ONE, scalar(-64), scalar(4)], ("x",),
-                               [(0, 1, 1), (2, 3, 1)], [])
+    # x - 4M for M = 2^6, the bound on an entry's norm: at 2^B with
+    # 2^(B-1) > M alone, 4M carries into the x digit and the sum vanishes
+    assert not _kronecker_zero([[(ONE, n)] for n in range(4)], [x, ONE, scalar(-64), scalar(4)],
+                               ("x",), [(0, 1, 1), (2, 3, 1)], [])
+    # the same with the weight in q: x - 8 vanishes at x = 8, where B
+    # bounds the words' norms alone
+    assert not _kronecker_zero([[(ONE, 0)], [(ONE, 1)], [(scalar(-2), 1)], [(scalar(4), 1)]],
+                               [x, ONE], ("x",), [(0, 1, 1), (2, 3, 1)], [])
     # x^2 - y: a stride of 2 B instead of 3 B sends x^2 and y to one power
     xy = ("x", "y")
-    assert not _kronecker_zero([x.over(xy), y.over(xy), ONE], xy,
-                               [(0, 0, 1), (1, 2, -1)], [])
-    # 1/2 * 1/2 - 1/4: a product is over Delta^2, a linear term over Delta
-    assert _kronecker_zero([scalar(Fraction(1, 2)), scalar(Fraction(1, 4))], (),
-                           [(0, 0, 1)], [(1, 1)])
+    assert not _kronecker_zero([[(ONE, n)] for n in range(3)], [x.over(xy), y.over(xy), ONE],
+                               xy, [(0, 0, 1), (1, 2, -1)], [])
+    # 1/2 * 1/2 - 1/4: a product is over Delta^2, a linear term over Delta,
+    # and Delta carries the denominators of q and w alike
+    half, quarter = scalar(Fraction(1, 2)), scalar(Fraction(1, 4))
+    assert _kronecker_zero([[(ONE, 0)], [(ONE, 1)]], [half, quarter], (), [(0, 0, 1)], [(1, 1)])
+    assert _kronecker_zero([[(half, 0)], [(quarter, 0)]], [ONE], (), [(0, 0, 1)], [(1, 1)])
+    assert _kronecker_zero([[(half, 0)], [(ONE, 1)]], [ONE, quarter], (), [(0, 0, 1)], [(1, 1)])
 
 
 def test_kronecker_delta_takes_each_primitive_part_once():
     l = Scalar.parameter("l")
     table = {0: {0: 1 / (l + 1)}, 1: {0: 1 / (l + 1) ** 3},
              2: {0: 3 / (2 * l * (l + 1) ** 2)}}
-    values, delta = kernel.kronecker_table(table, ("l",), 1, 1)
+    _, values, delta = kernel.kronecker_table({0: {0: ONE}}, table, ("l",), 1, 1)
     # Delta = 2 l (l + 1)^3, not 2 l (l + 1)^6: l + 1 and (l + 1)^2 divide
     # (l + 1)^3, so the entries clear to 2 l (l + 1)^2, 2 l and 3 (l + 1)
     point = values[1][0] // 2
