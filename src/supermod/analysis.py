@@ -7,14 +7,15 @@ or rational-function coefficients.  A full-rank probe is therefore
 *evidence* for irreducibility, never proof; a rank gap, on the other hand,
 is an honest certificate that the seed fails to generate within the window.
 
-At a rational point a probe runs in integers: each word image of the
-module is cleared once to an integer vector over a denominator, vectors
-are held primitive, and elimination is fraction-free.  Scaling a vector by
-a nonzero rational changes neither its support nor whether it lies in a
-span, and the lead columns of an echelon basis depend only on the span,
-so rank, missing tokens and projected terms are those of the rational
+At a rational point a probe runs in integers, in window columns: each
+one-step image of a token (t, t^-1, D) is cleared once to an integer
+vector over a denominator, words are composed from them, vectors are held
+primitive, and elimination is fraction-free.  Scaling a vector by a
+nonzero rational changes neither its support nor whether it lies in a
+span, and the lead columns of an echelon basis depend only on the span, so
+rank, missing tokens and projected terms are those of the rational
 closure.  With parameters left the same closure and span class run over
-Scalars, and each cross-check draw reruns the closure in ints.
+Scalars; each cross-check draw reruns it in ints, up to full rank.
 
 The module-axiom suite runs in ints too, exactly in every parameter: at one
 Kronecker point an integer polynomial within its bounds is zero exactly
@@ -131,11 +132,11 @@ def probe_seed() -> int:
 # exact elimination over the coefficient field
 
 class _RowSpan:
-    """A row-reduced span of vectors over a fixed, ordered token list.
+    """A row-reduced span of rows over a fixed, ordered token list.
 
-    A vector is a ModuleVector or a plain {token: coefficient} dict, its
-    coefficients all ints or all Scalars, and a row is the same as a
-    {column: value} dict.  The keys of ``pivots`` are the lead columns of an
+    A row is a {column: value} dict, its values all ints or all Scalars,
+    column i standing for ``tokens[i]``; :meth:`row` reads a token vector
+    as one.  The keys of ``pivots`` are the lead columns of an
     echelon basis, which depend only on the span, not on the order or scale
     of the vectors.  A pivot is stored as its lead entry p and the rest,
     negated; a row with lead entry a is reduced as row * p + rest * a, which
@@ -153,9 +154,11 @@ class _RowSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec) -> dict:
-        index, pivots = self.index, self.pivots
-        row = {index[tok]: coeff for tok, coeff in vec.items()}
+    def row(self, vec: ModuleVector) -> dict:
+        return {self.index[tok]: coeff for tok, coeff in vec._terms.items()}
+
+    def _reduce(self, row: dict) -> dict:
+        pivots, row = self.pivots, dict(row)
         while row:
             pivot = pivots.get(lead := min(row))
             if pivot is None:
@@ -175,9 +178,9 @@ class _RowSpan:
                     del row[col]
         return row
 
-    def insert(self, vec) -> bool:
-        """Add a vector to the span; True when the rank grew."""
-        row = self._reduce(vec)
+    def insert(self, row: dict) -> bool:
+        """Add a row to the span; True when the rank grew."""
+        row = self._reduce(row)
         if not row:
             return False
         lead = min(row)
@@ -189,8 +192,8 @@ class _RowSpan:
         self.pivots[lead] = p, {col: v * scale for col, v in row.items()}
         return True
 
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)
+    def contains(self, row: dict) -> bool:
+        return not self._reduce(row)
 
 
 def _project(vec: ModuleVector, allowed: set[BasisToken]) -> tuple[ModuleVector, int]:
@@ -286,77 +289,109 @@ def _primitive(vec: dict) -> dict:
     return {tok: c // g for tok, c in vec.items()} if g > 1 else vec
 
 
-class _WordCopy(dict):
-    """A copy of a module's word table at a point, and the action read from it.
+def _sum(terms: list) -> tuple:
+    """Sum f * part / d over (f, (d, outside, inside)): (den, outside, inside),
+    den the lcm of the d, zeros dropped."""
+    den, out, into = lcm(*[entry[0] for _, entry in terms]), {}, {}
+    for f, (d, beyond, within) in terms:
+        if d != den:
+            f *= den // d
+        for t, y in beyond.items():
+            out[t] = out.get(t, 0) + f * y
+        for t, y in within.items():
+            into[t] = into.get(t, 0) + f * y
+    return den, {t: y for t, y in out.items() if y}, {t: y for t, y in into.items() if y}
 
-    ``copy[k, l, tok]`` is t^k D^l applied to tok, reduced and split at the
-    token window into (den, outside, inside).  Entries are filled on first
-    read from :meth:`DModule.word`, evaluated at the point: at a rational
-    point (``exact``) both parts are cleared to ints over den
-    (:func:`_cleared`, through ``as_integer_ratio``); with parameters left
-    they are its Scalars over 1.  For the module-axiom suite
-    (:func:`module_axiom_check`) ``at``, the words' values at a Kronecker
-    point over one common denominator, replaces that reading.  The copy
-    acts on ``tokens``; ``window``, by default the same tokens, is where it
-    splits.
+
+class _WordCopy(dict):
+    """A module's word action at a point, in the probe's window columns.
+
+    ``copy[k, l, tok]`` is t^k D^l tok, reduced and split at the window
+    into (den, outside, inside), keyed by token outside and by column (index
+    in ``tokens``) inside.  Words are composed from one-step images (t, t^-1
+    and D on one token: :meth:`DModule.act_t`, :meth:`DModule.act_D`), each
+    cleared once per copy: ints over den at a rational point (``exact``),
+    else Scalars over 1.  A barred entry re-keys its unbarred twin's word.
     """
 
-    def __init__(self, handle: GModuleHandle, tokens, exact: bool, at=None, window=None):
-        self.word, self.exact, self.at = handle.module.word, exact, at
-        self.allowed = set(tokens if window is None else window)
-        self.killed = handle.killed_token
-        # where each Clifford unit c = 0..3 (see weyl) sends each token acted on
-        self.lands = {tok: [land(c, tok) for c in range(4)] for tok in tokens}
+    def __init__(self, handle: GModuleHandle, tokens: list[BasisToken], exact: bool,
+                 gens: list[Generator]):
+        self.module, self.exact, self.killed = handle.module, exact, handle.killed_token
+        self.tokens, self.column = tokens, {tok: i for i, tok in enumerate(tokens)}
+        # each operator as [(w, q)]: q times the word keys[w] = (k, l, c)
+        index: dict = {}
+        self.ops = [[(index.setdefault(key, len(index)), q) for key, q in
+                     _cleared(handle.operator(g)._terms, exact)[0].items()] for g in gens]
+        self.keys, self.rows, self.words = list(index), [None] * len(tokens), {}
+
+    def _word(self, k: int, l: int, tok: BasisToken) -> tuple:
+        """t^k D^l tok, tok unbarred, as (den, terms, {})."""
+        word = self.words.get((k, l, tok))
+        if word is None:
+            if abs(k) + l == 1:  # one step, from the module
+                single, module = ModuleVector.single(tok), self.module
+                image = module.act_t(k, single) if k else module.act_D(single)
+                terms, den = _cleared(image._terms, self.exact)
+                word = den, terms, {}
+            elif k or l:  # t^(+-1) or D after a shorter word
+                sk, sl = (1 if k > 0 else -1, 0) if k else (0, 1)
+                den, terms, _ = self._word(k - sk, l - sl, tok)
+                d, terms, _ = _sum([(x, self._word(sk, sl, t)) for t, x in terms.items()])
+                word = den * d, terms, {}
+            else:
+                word = 1, {tok: 1}, {}
+            self.words[k, l, tok] = word
+        return word
 
     def __missing__(self, key):
-        at = self.at
-        terms, den = _cleared(self.word(*key)._terms, self.exact) if at is None else (at[key], 1)
-        allowed, killed = self.allowed, self.killed
-        entry = self[key] = (
-            den, {t: x for t, x in terms.items() if t not in allowed and t != killed},
-            {t: x for t, x in terms.items() if t in allowed})
+        k, l, tok = key
+        column, killed, bar = self.column, self.killed, tok.bar
+        den, terms, _ = self._word(k, l, tok.unbarred() if bar else tok)
+        out, into = {}, {}
+        for t, x in terms.items():
+            if bar:
+                t = t.barred()
+            if (col := column.get(t)) is not None:
+                into[col] = x
+            elif t != killed:
+                out[t] = x
+        entry = self[key] = den, out, into
         return entry
 
-    def act(self, op: list, vec: dict, inside: bool) -> list[dict]:
-        """op . vec, op a list of words (k, l, c, coefficient), summed from the
-        copy as [outside] or [outside, inside]: the parts beyond and inside
-        the token window, both scaled by one nonzero constant."""
-        out, into = {}, {}
-        den = 1
-        for tok, x in vec.items():
-            lands = self.lands[tok]
-            for k, l, c, q in op:
-                landed = lands[c]
-                if landed is None:
-                    continue
-                d, beyond, within = self[k, l, landed]
-                f = x * q
-                if d != den:
-                    if den % d:  # a new denominator: rescale the sums
-                        scale = lcm(den, d) // den
-                        for acc in (out, into):
-                            for t in acc:
-                                acc[t] *= scale
-                        den *= scale
-                    f *= den // d
-                for t, y in beyond.items():
-                    old = out.get(t)
-                    out[t] = f * y if old is None else old + f * y
-                if inside:
-                    for t, y in within.items():
-                        old = into.get(t)
-                        into[t] = f * y if old is None else old + f * y
-        parts = (out, into) if inside else (out,)
-        return [{t: y for t, y in acc.items() if y} for acc in parts]
+    def _row(self, col: int) -> list:
+        """The entry of each operator word on column col's token, None where c kills it."""
+        lands = [land(c, self.tokens[col]) for c in range(4)]  # by Clifford unit, see weyl
+        row = self.rows[col] = [(t := lands[c]) and self[k, l, t] for k, l, c in self.keys]
+        return row
+
+    def act(self, i: int, vec: dict) -> tuple[dict, dict]:
+        """Operator i on vec, a {column: value} row: its parts (outside,
+        inside) of the window, both scaled by one nonzero constant."""
+        rows, op = self.rows, self.ops[i]
+        parts = [(x * q, entry) for col, x in vec.items()
+                 for row in (rows[col] or self._row(col),) for w, q in op
+                 if (entry := row[w]) and (entry[1] or entry[2])]
+        if len(parts) > 1:
+            return _sum(parts)[1:]
+        return parts[0][1][1:] if parts else ({}, {})
+
+    def count(self, vec: dict, first: int) -> int:
+        """The number of terms operators first, first + 1, ... send vec out
+        of the window (counting mode), read from outside parts only."""
+        rows = [(x, self.rows[col] or self._row(col)) for col, x in vec.items()]
+        parts = ([(x * q, entry) for x, row in rows for w, q in op
+                  if (entry := row[w]) and entry[1]] for op in self.ops[first:])
+        return sum(len(p[0][1][1]) if len(p) == 1 else len(_sum(p)[1]) for p in parts if p)
 
 
-def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
-           exact: bool) -> tuple[_RowSpan, list[BasisToken], int]:
+def _close(handle: GModuleHandle, seed: ModuleVector, window: Window, exact: bool,
+           counting: bool = True) -> tuple[_RowSpan, list[BasisToken], int]:
     """The probe's closure: its span, the window tokens, the projected terms.
 
     ``exact`` runs it in ints (every coefficient must be rational): each
     vector is held primitive, which changes neither its support nor its
     membership in a span, so every result is that of the Scalar form.
+    Without ``counting`` it stops at full rank, projected terms part-counted.
     """
     tokens = handle.tokens(window.token_bound)
     start, projected = _project(seed, set(tokens))
@@ -364,19 +399,21 @@ def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
         raise ValueError("the seed lies outside the token window")
     span = _RowSpan(tokens)
     held = _primitive if exact else (lambda vec: vec)
-    words = _WordCopy(handle, tokens, exact)
-    ops = [[(*key, q) for key, q in _cleared(handle.operator(gen)._terms, exact)[0].items()]
-           for gen, _ in _window_generators(handle.sector, window.gen_bound)]
-    frontier = [held(_cleared(start._terms, exact)[0])]
+    words = _WordCopy(handle, tokens, exact, algebra_generators(
+        handle.sector, window.gen_bound, include_central=False))
+    frontier = [held(_cleared(span.row(start), exact)[0])]
     span.insert(frontier[0])
-    while frontier and span.rank < len(tokens):
+    full, pivots = len(tokens), span.pivots
+    while frontier and len(pivots) < full:
         new_frontier = []
         for vec in frontier:
-            for op in ops:
-                if span.rank == len(tokens):
-                    projected += len(words.act(op, vec, False)[0])
-                    continue
-                escaped, image = words.act(op, vec, True)
+            for op in range(len(words.ops)):
+                if len(pivots) == full:  # counting mode, for the rest of the level
+                    if not counting:
+                        return span, tokens, projected
+                    projected += words.count(vec, op)
+                    break
+                escaped, image = words.act(op, vec)
                 projected += len(escaped)
                 if image and span.insert(image):
                     new_frontier.append(held(image))
@@ -385,7 +422,7 @@ def _close(handle: GModuleHandle, seed: ModuleVector, window: Window,
 
 
 def _closure_at(handle: GModuleHandle, seed: ModuleVector, window: Window,
-                assignments: dict) -> tuple:
+                assignments: dict, counting: bool = True) -> tuple:
     """The probe's closure at the requested point or a cross-check draw:
     handle and seed specialized (kept when nothing is assigned), the seed
     reduced, then :func:`_close`: (handle, seed, span, tokens, projected)."""
@@ -395,7 +432,7 @@ def _closure_at(handle: GModuleHandle, seed: ModuleVector, window: Window,
     seed = handle.reduce(seed)
     if seed.is_zero:
         raise ValueError("the seed must be nonzero (after any specialization)")
-    return handle, seed, *_close(handle, seed, window, not handle.parameters())
+    return handle, seed, *_close(handle, seed, window, not handle.parameters(), counting)
 
 
 def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
@@ -432,7 +469,7 @@ def span_probe(handle: GModuleHandle, seed: ModuleVector, window: Window,
         for attempt in range(1, _CROSS_CHECK_DRAWS + 1):
             draw = {name: Fraction(rng.randint(1, 30), 31) for name in remaining}
             try:
-                report.cross_check_rank = _closure_at(handle, seed, window, draw)[2].rank
+                report.cross_check_rank = _closure_at(handle, seed, window, draw, False)[2].rank
                 break
             except SingularSpecializationError:
                 if attempt == _CROSS_CHECK_DRAWS:
@@ -464,7 +501,7 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
     for vec in subspace:
         if vec.is_zero:
             raise ValueError("subspace generators must be nonzero")
-        span.insert(_project(vec, allowed)[0])
+        span.insert(span.row(_project(vec, allowed)[0]))
     if not span.rank:
         raise ValueError("every subspace generator lies outside the token "
                          "window, so there is nothing to check")
@@ -475,7 +512,7 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
         for g, gvec in gens:
             image, _ = _project(g_act(handle, gvec, vec), allowed)
             report.checked += 1
-            if not span.contains(image):
+            if not span.contains(span.row(image)):
                 report.violations.append({
                     "generator": render_generator(g),
                     "vector": render_vector(handle.module, vec),
@@ -535,7 +572,7 @@ def iso_witness_check(source: GModuleHandle, target: GModuleHandle,
                 })
     image_tokens = sorted({tok for src in domain for tok, _ in mapping[src].items()})
     img_span = _RowSpan(image_tokens)
-    injective = all(img_span.insert(mapping[tok]) for tok in sorted(domain))
+    injective = all(img_span.insert(img_span.row(mapping[tok])) for tok in sorted(domain))
     if not injective:
         report.violations.append({"injectivity": "images are linearly dependent"})
     report.details["parityPreserving"] = parity_ok
@@ -601,14 +638,14 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     (k, l, c, q) (:meth:`GModuleHandle.operator`), each word read from the
     module's word table at the token c lands on.  The operator
     coefficients and every word those images reach are cleared and
-    evaluated at one Kronecker point (:func:`kronecker_table`), and the
-    images are summed from them in ints by the probe's word action
-    (:class:`_WordCopy`), all over one common denominator Delta.  Each
-    identity's numerator N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok),
-    l the lcm of the bracket's denominators, is an integer polynomial in
-    the entries with coefficients at most H = 2 S l M^2 + |l [x,y]|_1
-    |Delta|_1 M (M the bound on an entry's l1 norm from its factors, S the
-    largest support its words give an image), so at that point it is zero
+    evaluated at one Kronecker point (:func:`kronecker_table`), and each
+    image is summed from those two tables in ints through its plan of word
+    keys, over one common denominator Delta.  Each identity's numerator
+    N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok), l the lcm of the
+    bracket's denominators, is an integer polynomial in the entries with
+    coefficients at most H = 2 S l M^2 + |l [x,y]|_1 |Delta|_1 M (M the
+    bound on an entry's l1 norm from its factors, S the largest sum of the
+    support sizes of the words an image reads), so at that point it is zero
     exactly when its value, a sum of int products, is: a certificate, not a
     sample.  A failing case renders its difference from the Scalar images
     (:func:`g_act`).
@@ -629,34 +666,35 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     ops = {g: handle.operator(g)._terms for g in acting}
     ops.update((g, handle.operator(g)._terms) for *_, terms in pairs for g in terms)
 
-    def closure(image) -> dict:
-        """image(g, tok) on every pair the suite reads: each generator on the
-        window tokens, and the acting ones on every token those reach."""
-        out = {(g, tok): image(g, tok) for g in ops for tok in tokens}
-        reached = set().union(*(out[g, tok] for g in acting for tok in tokens))
-        out.update({(g, t): image(g, t) for t in reached.difference(tokens) for g in acting})
+    # every image read (each generator on the window tokens, the acting ones
+    # on every token those reach) as (operator key, word key) pairs; the
+    # sum of its words' supports bounds its support, so x.(y.tok) and
+    # y.(x.tok) each sum at most S products, S the largest such sum
+    word, killed = handle.module.word, handle.killed_token
+
+    def planned(gens, toks) -> dict:
+        return {(g, tok): [((k, l, c), (k, l, t)) for k, l, c in ops[g]
+                           if (t := land(c, tok)) is not None] for g in gens for tok in toks}
+
+    plans = planned(ops, tokens)
+    reached = set().union(*(word(*key)._terms for g in acting for tok in tokens
+                            for _, key in plans[g, tok]))
+    plans.update(planned(acting, reached.difference(tokens, [killed])))
+    raw = {key: word(*key)._terms for keys in plans.values() for _, key in keys}
+    bound = max(sum(len(raw[key]) for _, key in keys) for keys in plans.values())
+    at_ops, at_words, delta = kronecker_table(
+        ops, raw, handle.parameters(), 2 * bound * top_ell, linear)
+
+    def image(g, keys) -> dict:
+        """g.tok in ints over Delta, summed from the two tables."""
+        out, row = {}, at_ops[g]
+        for op_key, key in keys:
+            for t, w in at_words[key].items():
+                out[t] = out.get(t, 0) + row[op_key] * w
+        out.pop(killed, None)
         return out
 
-    # the supports first, from the words each image applies, read into
-    # ``raw``; x.(y.tok) and y.(x.tok) each sum at most S products into a
-    # coefficient, S the largest support
-    word, killed, raw = handle.module.word, handle.killed_token, {}
-
-    def reach(g, tok) -> set:
-        keys = [(k, l, t) for k, l, c in ops[g] if (t := land(c, tok)) is not None]
-        for key in keys:
-            if key not in raw:
-                raw[key] = word(*key)._terms
-        return set().union(*(raw[key] for key in keys)).difference([killed])
-
-    supports = closure(reach)
-    at_ops, at_words, delta = kronecker_table(
-        ops, raw, handle.parameters(), 2 * max(map(len, supports.values())) * top_ell, linear)
-    # the images, in ints, by the word action on every token they reach,
-    # with an empty window so that no term is split off
-    words = _WordCopy(handle, {t for _, t in supports}, True, at_words, ())
-    acts = {g: [(*key, q) for key, q in row.items()] for g, row in at_ops.items()}
-    images = closure(lambda g, tok: words.act(acts[g], {tok: 1}, False)[0])
+    images = {(g, tok): image(g, keys) for (g, tok), keys in plans.items()}
     report = VerificationReport(
         "module-axiom", {"window": window.to_json(), "sector": sector,
                          "tags": list(handle.tags)})

@@ -290,17 +290,17 @@ def test_probe_cross_check_gives_up_after_a_fixed_number_of_draws(monkeypatch):
 
 def test_probe_keeps_the_callers_tables():
     # without a specialization the probe acts through the caller's handle,
-    # so the operators and word-table entries it computes stay with it
+    # so the operators it computes stay with it; it composes its words
+    # itself, so the module's word table stays empty
     handle = laurent()
     assert handle.specialize({}) is handle
     seed = single(handle.module.token(0))
     span_probe(handle, seed, Window(1, 1))
-    images, words = dict(handle._cache), dict(handle.module._words or {})
-    assert images and words
+    operators = dict(handle._cache)
+    assert operators and not handle.module._words
     span_probe(handle, seed, Window(2, 2))
-    assert all(handle._cache[key] is image for key, image in images.items())
-    assert all(handle.module._words[key] is w for key, w in words.items())
-    assert len(handle._cache) > len(images)
+    assert all(handle._cache[key] is op for key, op in operators.items())
+    assert len(handle._cache) > len(operators)
 
 
 def test_probe_specialization_disables_cross_check():
@@ -356,14 +356,14 @@ def _reference_closure(handle, seed, window):
         return ModuleVector(kept), len(vec) - len(kept)
 
     start, projected = project(handle.reduce(seed))
-    frontier = [start] if span.insert(start) else []
+    frontier = [start] if span.insert(span.row(start)) else []
     while frontier and span.rank < len(tokens):
         new_frontier = []
         for vec in frontier:
             for _, gvec in gens:
                 image, dropped = project(g_act(handle, gvec, vec))
                 projected += dropped
-                if not image.is_zero and span.insert(image):
+                if not image.is_zero and span.insert(span.row(image)):
                     new_frontier.append(image)
         frontier = new_frontier
     pivots = {tokens[i] for i in span.pivots}
@@ -419,56 +419,62 @@ def test_counting_mode_without_its_count_is_caught(monkeypatch):
     # the negative control: a counting mode that drops the out-of-window
     # terms changes projectedTerms, and the comparison above must see it
     monkeypatch.delenv("SUPERMOD_SEED", raising=False)
-    real_act = analysis._WordCopy.act
-
-    def dropping(words, op, vec, inside):
-        return real_act(words, op, vec, inside) if inside else [{}]
-
-    monkeypatch.setattr(analysis._WordCopy, "act", dropping)
+    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: 0)
     assert _counting_mismatches()
 
 
 def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
-    # each application asks for the in-window part only while the span is
-    # short of full rank: the ranks at which it does stay below ambient
-    applications = []
-    spans = []
-    real_act = analysis._WordCopy.act
+    # an image is built ("act") only while the span is short of full rank;
+    # the rest of the level is counted ("count"), once per vector
+    applications, spans = [], []
+    real_act, real_count = analysis._WordCopy.act, analysis._WordCopy.count
     real_init = analysis._RowSpan.__init__
-
-    def recording(words, op, vec, inside):
-        applications.append((inside, spans[-1].rank))
-        return real_act(words, op, vec, inside)
-
-    monkeypatch.setattr(analysis._WordCopy, "act", recording)
+    monkeypatch.setattr(analysis._WordCopy, "act", lambda words, i, vec: (
+        applications.append(("act", spans[-1].rank)) or real_act(words, i, vec)))
+    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: (
+        applications.append(("count", spans[-1].rank)) or real_count(words, vec, first)))
     monkeypatch.setattr(analysis._RowSpan, "__init__",
                         lambda self, tokens: spans.append(self) or real_init(self, tokens))
     handle = GModuleHandle(LaurentModule(THIRD), THIRD)
     rep = span_probe(handle, single(handle.module.token(2)), Window(2, 2, 2))
     assert rep.full and rep.projected > 0
-    assert max(rank for inside, rank in applications if inside) < rep.ambient
-    counting = [rank for inside, rank in applications if not inside]
+    assert max(rank for mode, rank in applications if mode == "act") < rep.ambient
+    counting = [rank for mode, rank in applications if mode == "count"]
     assert counting and set(counting) == {rep.ambient}
+
+
+def test_a_cross_check_draw_stops_at_full_rank(monkeypatch):
+    # a draw keeps only its rank, so it counts no projected term: every
+    # count comes from the symbolic closure, whose copy is not exact
+    monkeypatch.delenv("SUPERMOD_SEED", raising=False)
+    exact = []
+    real_count = analysis._WordCopy.count
+    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: (
+        exact.append(words.exact) or real_count(words, vec, first)))
+    handle = laurent()
+    rep = span_probe(handle, single(handle.module.token(0)), Window(2, 3, 4))
+    assert rep.full and rep.cross_check_rank == rep.ambient
+    assert exact and not any(exact)
 
 
 def test_word_copy_rescales_its_sums_on_a_new_denominator():
     # the word entries of this module lie over different denominators, so
-    # act meets a new one mid-sum and rescales what it has summed so far;
-    # each image must be the superize_act image, split at the window, up
-    # to one common nonzero factor
+    # act sums them over their lcm, rescaling each; each image must be the
+    # superize_act image, split at the window, up to one common nonzero
+    # factor
     module = FractionModule(("1/3", "1/2"), (0, HALF))
     for b in (THIRD, 0, HALF):
         handle = GModuleHandle(module, b)
         tokens = handle.tokens(1)
-        words = analysis._WordCopy(handle, tokens, True)
-        for gen, _ in analysis._window_generators(0, 1):
-            cleared, _ = analysis._cleared(handle.operator(gen)._terms, True)
-            op = [(*key, q) for key, q in cleared.items()]
-            for first, second in zip(tokens, tokens[1:]):
+        gens = algebra_generators(0, 1, include_central=False)
+        words = analysis._WordCopy(handle, tokens, True, gens)
+        for i, gen in enumerate(gens):
+            for first, second in zip(range(len(tokens)), range(1, len(tokens))):
                 vec = {first: 1, second: 2}
-                got = words.act(op, vec, True)
+                out, into = words.act(i, vec)
+                got = [out, {tokens[col]: c for col, c in into.items()}]
                 want = handle.reduce(superize_act(module, handle.operator(gen), ModuleVector(
-                    {t: scalar(c) for t, c in vec.items()})))
+                    {tokens[col]: scalar(c) for col, c in vec.items()})))
                 split = [{t: c.as_fraction() for t, c in want.items() if (t in tokens) == inside}
                          for inside in (False, True)]
                 assert [set(part) for part in got] == [set(part) for part in split]
@@ -479,6 +485,32 @@ def test_word_copy_rescales_its_sums_on_a_new_denominator():
                     assert all(x == ratio * c for x, c in pairs), (b, gen, vec)
         # the entries read lie over more than one denominator
         assert len({d for d, *_ in words.values()}) > 1
+
+
+def test_word_copy_entries_are_the_module_words():
+    # each entry the probe reads, over its denominator, is DModule.word at
+    # the point, reduced and split at the window: every family in both
+    # sectors, the twists, and fraction poles away from 0
+    handles = [handle for handle, *_ in _point_cases()]
+    handles.append(GModuleHandle(FractionModule((THIRD, HALF, 2), (0, HALF, -2)), THIRD, sector=1))
+    dens = set()
+    for handle in handles:
+        tokens = handle.tokens(2)
+        gens = algebra_generators(handle.sector, 2, include_central=False)
+        words = analysis._WordCopy(handle, tokens, True, gens)
+        for i in range(len(gens)):
+            for col in range(len(tokens)):
+                words.act(i, {col: 1})
+        assert len(words) > 2 * len(tokens)
+        for (k, l, tok), (den, out, into) in words.items():
+            want = handle.reduce(handle.module.word(k, l, tok))
+            got = {**out, **{tokens[col]: x for col, x in into.items()}}
+            assert {t: Fraction(x, den) for t, x in got.items()} == \
+                {t: c.as_fraction() for t, c in want._terms.items()}, (handle.describe(), k, l, tok)
+            assert all(t not in tokens for t in out)
+        dens.update(d for d, *_ in words.values())
+    # the entries lie over denominators their steps composed
+    assert 3 in dens and max(dens) > 3
 
 
 # ----------------------------------------------------------------------
@@ -516,8 +548,8 @@ def test_integer_closure_reports_what_the_scalar_closure_reports(monkeypatch):
     real_close = analysis._close
     forms = set()
 
-    def scalar_form(handle, seed, window, exact):
-        assert exact  # every case is at a rational point
+    def scalar_form(handle, seed, window, exact, counting=True):
+        assert exact and counting  # every case is a probe at a rational point
         # the number types the exact closure's pivots hold
         forms.update(type(v) for p, rest in real_close(handle, seed, window, True)[0]
                      .pivots.values() for v in (p, *rest.values()))

@@ -463,31 +463,35 @@ def test_land_moves_the_bar_flag_as_the_clifford_unit_acts():
 
 
 def test_probe_runs_each_d_chain_step_once(monkeypatch):
-    """act_D runs at most once per distinct (token, D-power) requested."""
-    requested = set()
-    depth = []
-    real_word = DModule.word
+    """A probe computes each one-step image, t, t^-1 or D on one token,
+    once: the module's act_t(+-1) and act_D run once per (step, token)."""
+    steps, depth = [], []
 
-    def recording(spec, k, l, tok):
-        # only the probe's own reads: the table's recursion is not a request
-        if not depth:
-            requested.update((tok, j) for j in range(1, l + 1))
-        depth.append(tok)
-        try:
-            return real_word(spec, k, l, tok)
-        finally:
-            depth.pop()
+    def recording(name):
+        real = getattr(DegreeModule, name)
 
-    calls = []
-    real_act_D = DegreeModule.act_D
-    monkeypatch.setattr(DModule, "word", recording)
-    monkeypatch.setattr(DegreeModule, "act_D",
-                        lambda self, vec: calls.append(vec) or real_act_D(self, vec))
+        def wrapper(self, *args):
+            if not depth:  # act_D's own call of act_t is not a step
+                *m, vec = args
+                steps.append((name, *m, *vec._terms))
+            depth.append(name)
+            try:
+                return real(self, *args)
+            finally:
+                depth.pop()
+        return wrapper
+
+    for name in ("act_t", "act_D"):
+        monkeypatch.setattr(DegreeModule, name, recording(name))
     module = DegreeModule(2)
     report = span_probe(GModuleHandle(module, THIRD), single(module.token(0, 0)),
                         Window(2, 2, 2))
     assert report.full
-    assert requested and 0 < len(calls) <= len(requested)
+    assert {name for name, *_ in steps} == {"act_t", "act_D"}
+    # each on one token: (name, m, token) or (name, token)
+    assert all(len(step) == (3 if step[0] == "act_t" else 2) for step in steps)
+    assert {m for name, m, *_ in steps if name == "act_t"} == {-1, 1}
+    assert len(set(steps)) == len(steps)
 
 
 def test_barred_word_reuses_its_unbarred_twin(monkeypatch):

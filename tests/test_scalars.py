@@ -742,8 +742,38 @@ def kronecker_identities(draw):
     return names, entries, words, products, linear
 
 
+@st.composite
+def kronecker_boundaries(draw):
+    """Identities that are nonzero yet vanish at the point of a smaller B,
+    the one a weaker bound would pick: a carry (x - 2^B') or a shared power
+    of 2^B (x^(2e) - y, y one stride too low).  The drawn sizes move B'."""
+    kind = draw(st.sampled_from(["norm", "weight", "stride", "products"]))
+    x, a = Scalar.parameter("x"), draw(st.integers(min_value=2, max_value=12))
+    if kind == "norm":
+        # x - 4M, M = 2^a the largest word norm: B' from M alone is a + 2
+        return (("x",), [[(ONE, n)] for n in range(4)], [x, ONE, scalar(-2 ** a), scalar(4)],
+                [(0, 1, 1), (2, 3, 1)], [])
+    if kind == "weight":
+        # the weight in q, words of norm 1, and 2w more products that cancel:
+        # a bound on the words' norms alone gives B' from 2 + 2w
+        w = draw(st.integers(min_value=0, max_value=40))
+        b = (2 + 2 * w).bit_length() + 1
+        return (("x",), [[(ONE, 0)], [(ONE, 1)], [(scalar(-2), 1)], [(scalar(2 ** (b - 1)), 1)]],
+                [x, ONE], [(0, 1, 1), (2, 3, 1), (1, 1, w), (1, 1, -w)], [])
+    if kind == "stride":
+        # c x^(2e) - c y: a stride of B (2e) for y, not B (2e + 1), sends
+        # x^(2e) and y to one power of 2^B
+        e, c, xy = draw(st.integers(1, 3)), draw(st.integers(1, 9)), ("x", "y")
+        return (xy, [[(ONE, n)] for n in range(3)],
+                [(x ** e).over(xy), Scalar.parameter("y").over(xy), scalar(c)],
+                [(0, 0, c), (1, 2, -1)], [])
+    # x - 4 M^2, M = 2^a: B' from one product, not five, is 2a + 2
+    return (("x",), [[(ONE, n)] for n in range(3)], [x, ONE, scalar(2 ** a)],
+            [(0, 1, 1), (2, 2, -4)], [])
+
+
 @_fixed
-@given(kronecker_identities())
+@given(st.one_of(kronecker_identities(), kronecker_boundaries()))
 def test_kronecker_zero_test_matches_polynomial_arithmetic(identity):
     names, entries, words, products, linear = identity
     # the same identity in QQ(names), through _pmul/_padd
