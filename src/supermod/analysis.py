@@ -636,19 +636,22 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     identities are exact in all module parameters and b.  Each image the
     suite reads is a sum of q * word over its generator's operator words
     (k, l, c, q) (:meth:`GModuleHandle.operator`), each word read from the
-    module's word table at the token c lands on.  The operator
-    coefficients and every word those images reach are cleared and
-    evaluated at one Kronecker point (:func:`kronecker_table`), and each
-    image is summed from those two tables in ints through its plan of word
-    keys, over one common denominator Delta.  Each identity's numerator
+    module's word table at the token c lands on; no action reads the bar
+    flag, so a barred token's word is read as its unbarred twin's and only
+    unbarred words are read.  Tokens are numbered, u as 2n and its barred
+    twin as 2n + 1, and each image is a list of (token number, int) pairs
+    summed from two tables, the operator coefficients and the words,
+    cleared and evaluated at one Kronecker point (:func:`kronecker_table`),
+    over one common denominator Delta.  Each identity's numerator
     N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok), l the lcm of the
     bracket's denominators, is an integer polynomial in the entries with
     coefficients at most H = 2 S l M^2 + |l [x,y]|_1 |Delta|_1 M (M the
     bound on an entry's l1 norm from its factors, S the largest sum of the
     support sizes of the words an image reads), so at that point it is zero
     exactly when its value, a sum of int products, is: a certificate, not a
-    sample.  A failing case renders its difference from the Scalar images
-    (:func:`g_act`).
+    sample.  On x = y the two products cancel when x is even and are summed
+    once, as 2 l x.(x.tok), when it is odd.  A failing case renders its
+    difference from the Scalar images (:func:`g_act`).
     """
     sector = handle.sector
     gens = algebra_generators(sector, window.gen_bound, include_central=True)
@@ -666,35 +669,49 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     ops = {g: handle.operator(g)._terms for g in acting}
     ops.update((g, handle.operator(g)._terms) for *_, terms in pairs for g in terms)
 
+    word, killed, number = handle.module.word, handle.killed_token, {}
+
+    def num(u: BasisToken) -> int:
+        """The number of unbarred token u, 2n for the n-th numbered."""
+        return number.setdefault(u, 2 * len(number))
+
+    cols = [num(tok.unbarred()) + tok.bar for tok in tokens]
+    gone = killed and num(killed)
     # every image read (each generator on the window tokens, the acting ones
-    # on every token those reach) as (operator key, word key) pairs; the
-    # sum of its words' supports bounds its support, so x.(y.tok) and
-    # y.(x.tok) each sum at most S products, S the largest such sum
-    word, killed = handle.module.word, handle.killed_token
+    # on every token those reach) as (operator key, (k, l, twin's number),
+    # bar) triples; the sum of its words' supports bounds its support, so
+    # x.(y.tok) and y.(x.tok) each sum at most S products, S the largest such sum
+    plans, raw = {}, {}
 
-    def planned(gens, toks) -> dict:
-        return {(g, tok): [((k, l, c), (k, l, t)) for k, l, c in ops[g]
-                           if (t := land(c, tok)) is not None] for g in gens for tok in toks}
+    def plan(gens, nums) -> None:
+        twins = list(number)
+        for n in nums:
+            u, m = twins[n >> 1], n & -2
+            lands = [(t := land(c, u.barred() if n & 1 else u)) and t.bar for c in range(4)]
+            for g in gens:
+                keys = plans[g, n] = [(key, (key[0], key[1], m), bar) for key in ops[g]
+                                      if (bar := lands[key[2]]) is not None]
+                for (k, l, _), key, _ in keys:
+                    if key not in raw:
+                        raw[key] = {num(t): c for t, c in word(k, l, u)._terms.items()}
 
-    plans = planned(ops, tokens)
-    reached = set().union(*(word(*key)._terms for g in acting for tok in tokens
-                            for _, key in plans[g, tok]))
-    plans.update(planned(acting, reached.difference(tokens, [killed])))
-    raw = {key: word(*key)._terms for keys in plans.values() for _, key in keys}
-    bound = max(sum(len(raw[key]) for _, key in keys) for keys in plans.values())
+    plan(ops, cols)
+    plan(acting, {t + bar for g in acting for n in cols for _, key, bar in plans[g, n]
+                  for t in raw[key]}.difference(cols, [gone]))
+    bound = max(sum(len(raw[key]) for _, key, _ in keys) for keys in plans.values())
     at_ops, at_words, delta = kronecker_table(
         ops, raw, handle.parameters(), 2 * bound * top_ell, linear)
 
-    def image(g, keys) -> dict:
-        """g.tok in ints over Delta, summed from the two tables."""
+    # images[g][n]: g on token n in ints over Delta, summed from the two tables
+    images = {g: [None] * 2 * len(number) for g in ops}
+    for (g, n), keys in plans.items():
         out, row = {}, at_ops[g]
-        for op_key, key in keys:
+        for op_key, key, bar in keys:
+            q = row[op_key]
             for t, w in at_words[key].items():
-                out[t] = out.get(t, 0) + row[op_key] * w
-        out.pop(killed, None)
-        return out
-
-    images = {(g, tok): image(g, keys) for (g, tok), keys in plans.items()}
+                out[t + bar] = out.get(t + bar, 0) + q * w
+        out.pop(gone, None)
+        images[g][n] = list(out.items())
     report = VerificationReport(
         "module-axiom", {"window": window.to_json(), "sector": sector,
                          "tags": list(handle.tags)})
@@ -703,19 +720,23 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
         # (first, then, s): add s * then.(first.tok); a product of two
         # entries is over Delta^2 and an entry over Delta, so the bracket
         # terms are scaled by Delta
-        steps = () if "C" in (x.kind, y.kind) else ((y, x, ell), (x, y, -sign * ell))
-        terms = [(g, c * delta) for g, c in terms.items()]
-        for tok in tokens:
+        if "C" in (x.kind, y.kind) or (x == y and sign > 0):
+            steps = ()
+        elif x == y:
+            steps = (images[x], images[x], 2 * ell),
+        else:
+            steps = (images[y], images[x], ell), (images[x], images[y], -sign * ell)
+        terms = [(images[g], c * delta) for g, c in terms.items()]
+        for n, tok in zip(cols, tokens):
             acc: dict = {}
             for first, then, s in steps:
-                for t, c in images[first, tok].items():
+                for t, c in first[n]:
                     c *= s
-                    for u, v in images[then, t].items():
+                    for u, v in then[t]:
                         acc[u] = acc.get(u, 0) + c * v
-            for g, c in terms:
-                for u, v in images[g, tok].items():
+            for rows, c in terms:
+                for u, v in rows[n]:
                     acc[u] = acc.get(u, 0) - c * v
-            report.checked += 1
             if any(acc.values()):
                 xv, yv = LieVector.basis(x, sector), LieVector.basis(y, sector)
                 v = ModuleVector.single(tok)
@@ -727,4 +748,5 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
                     "token": render_token(handle.module, tok),
                     "difference": render_vector(handle.module, difference),
                 })
+        report.checked += len(tokens)
     return report

@@ -41,6 +41,7 @@ from supermod.liealg import (
     Generator,
     LieVector,
     VerificationReport,
+    _basis_bracket,
     algebra_generators,
     bracket,
     parity,
@@ -792,16 +793,44 @@ AXIOM_HANDLES = {
 }
 
 
+#: (handle, generator bound): at gen bound 2 the images reach tokens beyond
+#: the window, numbered past its own, and read both twins of a word there
+AXIOM_CASES = [(name, 1) for name in AXIOM_HANDLES] + [
+    (name, 2) for name in ("fraction", "degree", "fraction-half-sigma-pi")]
+
+
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
-@pytest.mark.parametrize("name", list(AXIOM_HANDLES))
-def test_module_axioms_match_the_g_act_composition(name, perturbed):
+@pytest.mark.parametrize("name, gen_bound", AXIOM_CASES,
+                         ids=[name + "-gens-2" * (b == 2) for name, b in AXIOM_CASES])
+def test_module_axioms_match_the_g_act_composition(name, gen_bound, perturbed):
     handle = AXIOM_HANDLES[name]()
     if perturbed:
         _perturb(handle)
-    window = Window(1, 1)
+    window = Window(gen_bound, 1)
     got = module_axiom_check(handle, window).to_json()
     assert got == _axiom_check_through_g_act(handle, window).to_json()
     assert got["passed"] is not perturbed
+
+
+@pytest.mark.parametrize("name", list(AXIOM_HANDLES))
+def test_module_axiom_products_cover_every_image_read(name, monkeypatch):
+    # the Kronecker height's products factor bounds sum |v| in
+    # l Delta^2 (x.(y.tok) -+ y.(x.tok)): each step sums one product, scaled
+    # by l, per term of an image the suite reads, so it is at least 2 l s
+    seen, real = [], analysis.kronecker_table
+    monkeypatch.setattr(analysis, "kronecker_table",
+                        lambda *args: seen.append(args[3]) or real(*args))
+    handle, window = AXIOM_HANDLES[name](), Window(1, 1)
+    assert module_axiom_check(handle, window).passed
+    gens = algebra_generators(handle.sector, window.gen_bound, include_central=True)
+    ell = max(c.denominator for i, x in enumerate(gens) for y in gens[i:]
+              for g, c in _basis_bracket(x, y) if g.kind != "C")
+    acting = [g for g in gens if g.kind != "C"]
+    images = [handle.image(g, tok) for g in acting for tok in handle.tokens(window.token_bound)]
+    reached = {tok for image in images for tok in image._terms}
+    images += [handle.image(g, tok) for g in acting for tok in reached]
+    s = max(len(image._terms) for image in images)
+    assert len(seen) == 1 and seen[0] >= 2 * ell * s
 
 
 def test_module_axioms_fail_on_a_perturbed_image():
