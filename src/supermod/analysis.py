@@ -7,10 +7,12 @@ or rational-function coefficients.  A full-rank probe is therefore
 *evidence* for irreducibility, never proof; a rank gap, on the other hand,
 is an honest certificate that the seed fails to generate within the window.
 
-At a rational point a probe runs in integers, in window columns: each
-one-step image of a token (t, t^-1, D) is cleared once to an integer
-vector over a denominator, words are composed from them, vectors are held
-primitive, and elimination is fraction-free.  Scaling a vector by a
+Both exact checks read the action g -> rho_M(sigma_b(g)) from one table
+(:class:`_ActionTable`).  At a rational point a probe reads it in
+integers, in window columns: each one-step image of a token (t, t^-1, D)
+is cleared once to an integer vector over a denominator, words are
+composed from them, vectors are held primitive, and elimination is
+fraction-free.  Scaling a vector by a
 nonzero rational changes neither its support nor whether it lies in a
 span, and the lead columns of an echelon basis depend only on the span, so
 rank, missing tokens and projected terms are those of the rational
@@ -44,7 +46,7 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act, land
 from .liealg import (Generator, LieVector, VerificationReport, _basis_bracket,
                      algebra_generators, bracket, parity, render_generator)
-from .scalars import ScalarError, SingularSpecializationError, kronecker_table, scalar
+from .scalars import ONE, ScalarError, SingularSpecializationError, kronecker_table, scalar
 
 __all__ = [
     "Window",
@@ -125,7 +127,11 @@ _CROSS_CHECK_DRAWS = 10
 
 def probe_seed() -> int:
     """The seed for randomized cross-checks (env SUPERMOD_SEED, default 0)."""
-    return int(os.environ.get("SUPERMOD_SEED", "0"))
+    text = os.environ.get("SUPERMOD_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SUPERMOD_SEED must be an integer, got {text!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -289,99 +295,105 @@ def _primitive(vec: dict) -> dict:
     return {tok: c // g for tok, c in vec.items()} if g > 1 else vec
 
 
-def _sum(terms: list) -> tuple:
-    """Sum f * part / d over (f, (d, outside, inside)): (den, outside, inside),
-    den the lcm of the d, zeros dropped."""
-    den, out, into = lcm(*[entry[0] for _, entry in terms]), {}, {}
-    for f, (d, beyond, within) in terms:
-        if d != den:
-            f *= den // d
-        for t, y in beyond.items():
-            out[t] = out.get(t, 0) + f * y
-        for t, y in within.items():
-            into[t] = into.get(t, 0) + f * y
-    return den, {t: y for t, y in out.items() if y}, {t: y for t, y in into.items() if y}
+class _ActionTable(dict):
+    """A handle's action on numbered tokens, built once per check, filled lazily.
 
-
-class _WordCopy(dict):
-    """A module's word action at a point, in the probe's window columns.
-
-    ``copy[k, l, tok]`` is t^k D^l tok, reduced and split at the window
-    into (den, outside, inside), keyed by token outside and by column (index
-    in ``tokens``) inside.  Words are composed from one-step images (t, t^-1
-    and D on one token: :meth:`DModule.act_t`, :meth:`DModule.act_D`), each
-    cleared once per copy: ints over den at a rational point (``exact``),
-    else Scalars over 1.  A barred entry re-keys its unbarred twin's word.
+    Tokens are numbered as met, the window ``tokens`` first: the n-th
+    unbarred token is 2n, its barred twin 2n + 1; ``cols[i]`` numbers
+    ``tokens[i]`` and ``column`` inverts it.  ``ops[g]`` is generator g's
+    operator (:meth:`GModuleHandle.operator`), planned (:meth:`plan`).
+    ``table[k, l, n]`` is t^k D^l on the unbarred token numbered n, as
+    (den, {number: coefficient}), composed on first read from the module's
+    one-step images (t, t^-1, D: :meth:`DModule.act_t`, :meth:`DModule.act_D`),
+    each cleared once: ints over den when ``exact``, else Scalars over 1;
+    ``table[k, l, ~n]`` is that word's part outside the window.  A probe
+    reads images in window columns (:meth:`act`, :meth:`count`); the
+    module-axiom suite at a Kronecker point.
     """
 
-    def __init__(self, handle: GModuleHandle, tokens: list[BasisToken], exact: bool,
-                 gens: list[Generator]):
-        self.module, self.exact, self.killed = handle.module, exact, handle.killed_token
-        self.tokens, self.column = tokens, {tok: i for i, tok in enumerate(tokens)}
-        # each operator as [(w, q)]: q times the word keys[w] = (k, l, c)
-        index: dict = {}
-        self.ops = [[(index.setdefault(key, len(index)), q) for key, q in
-                     _cleared(handle.operator(g)._terms, exact)[0].items()] for g in gens]
-        self.keys, self.rows, self.words = list(index), [None] * len(tokens), {}
+    def __init__(self, handle: GModuleHandle, tokens: list[BasisToken],
+                 gens: list[Generator], exact: bool):
+        self.module, self.exact, self.number, self.twins = handle.module, exact, {}, []
+        self.cols = [self.num(tok) for tok in tokens]
+        self.column = {n: i for i, n in enumerate(self.cols)}
+        self.gone = handle.killed_token and self.num(handle.killed_token)
+        # the bar bit each Clifford unit lands an unbarred and a barred token on
+        self.lands = [[(t := land(c, tok)) and t.bar for c in range(4)]
+                      for tok in (self.twins[0], self.twins[0].barred())]
+        self.ops = {g: self.plan(_cleared(handle.operator(g)._terms, exact)[0]) for g in gens}
 
-    def _word(self, k: int, l: int, tok: BasisToken) -> tuple:
-        """t^k D^l tok, tok unbarred, as (den, terms, {})."""
-        word = self.words.get((k, l, tok))
-        if word is None:
-            if abs(k) + l == 1:  # one step, from the module
-                single, module = ModuleVector.single(tok), self.module
-                image = module.act_t(k, single) if k else module.act_D(single)
-                terms, den = _cleared(image._terms, self.exact)
-                word = den, terms, {}
-            elif k or l:  # t^(+-1) or D after a shorter word
-                sk, sl = (1 if k > 0 else -1, 0) if k else (0, 1)
-                den, terms, _ = self._word(k - sk, l - sl, tok)
-                d, terms, _ = _sum([(x, self._word(sk, sl, t)) for t, x in terms.items()])
-                word = den * d, terms, {}
-            else:
-                word = 1, {tok: 1}, {}
-            self.words[k, l, tok] = word
+    def num(self, tok: BasisToken) -> int:
+        """The number of tok: 2n for the n-th unbarred token, + 1 if barred."""
+        u = tok.unbarred()
+        if u not in self.number:
+            self.number[u] = 2 * len(self.twins)
+            self.twins.append(u)
+        return self.number[u] + tok.bar
+
+    def __missing__(self, key: tuple) -> tuple:
+        k, l, n = key
+        if n < 0:  # word (k, l, ~n) cut to its terms outside the window
+            den, terms = self[k, l, ~n]
+            word = den, {m: x for m, x in terms.items() if m + 1 not in self.column}
+        elif abs(k) + l > 1:  # t^(+-1) or D after a shorter word
+            step = (1 if k > 0 else -1, 0) if k else (0, 1)
+            den, terms = self[k - step[0], l - step[1], n]
+            d, terms = self.image([[(1 if self.exact else ONE, *step, 0)]], terms.items())
+            word = den * d, {t: y for t, y in terms.items() if y}
+        else:  # the token itself or one step, from the module
+            vec, module = ModuleVector.single(self.twins[n >> 1]), self.module
+            image = module.act_t(k, vec) if k else module.act_D(vec) if l else vec
+            terms, den = _cleared(image._terms, self.exact)
+            word = den, {self.num(t): x for t, x in terms.items()}
+        self[key] = word
         return word
 
-    def __missing__(self, key):
-        k, l, tok = key
-        column, killed, bar = self.column, self.killed, tok.bar
-        den, terms, _ = self._word(k, l, tok.unbarred() if bar else tok)
-        out, into = {}, {}
-        for t, x in terms.items():
-            if bar:
-                t = t.barred()
-            if (col := column.get(t)) is not None:
-                into[col] = x
-            elif t != killed:
-                out[t] = x
-        entry = self[key] = den, out, into
-        return entry
+    def plan(self, op: dict) -> list:
+        """An operator {(k, l, c): q} on an unbarred and on a barred token:
+        (q, k, l, bar bit) for each word whose Clifford unit c lands it
+        (:func:`land`).  No action reads the bar flag, so on a token the word
+        t^k D^l is read on its unbarred twin and the bar bit added."""
+        return [[(q, k, l, lands[c]) for (k, l, c), q in op.items() if lands[c] is not None]
+                for lands in self.lands]
 
-    def _row(self, col: int) -> list:
-        """The entry of each operator word on column col's token, None where c kills it."""
-        lands = [land(c, self.tokens[col]) for c in range(4)]  # by Clifford unit, see weyl
-        row = self.rows[col] = [(t := lands[c]) and self[k, l, t] for k, l, c in self.keys]
-        return row
+    def image(self, plan: list, vec, outside: bool = False) -> tuple:
+        """A planned operator on sum x * token n over vec's (n, x), as
+        (den, {number: value}), zeros and the killed token kept; only its
+        terms outside the window when ``outside``."""
+        den, out = 1, {}
+        for n, x in vec:
+            m = ~(n & -2) if outside else n & -2
+            for q, k, l, bar in plan[n & 1]:
+                d, terms = self[k, l, m]
+                if not terms:
+                    continue
+                if d != den:
+                    if den % d:  # a new denominator: rescale the sum so far
+                        e = lcm(den, d)
+                        out = {t: y * (e // den) for t, y in out.items()}
+                        den = e
+                    q *= den // d
+                q *= x
+                for t, y in terms.items():
+                    t += bar
+                    y *= q
+                    out[t] = y if (old := out.get(t)) is None else old + y
+        return den, out
 
-    def act(self, i: int, vec: dict) -> tuple[dict, dict]:
-        """Operator i on vec, a {column: value} row: its parts (outside,
-        inside) of the window, both scaled by one nonzero constant."""
-        rows, op = self.rows, self.ops[i]
-        parts = [(x * q, entry) for col, x in vec.items()
-                 for row in (rows[col] or self._row(col),) for w, q in op
-                 if (entry := row[w]) and (entry[1] or entry[2])]
-        if len(parts) > 1:
-            return _sum(parts)[1:]
-        return parts[0][1][1:] if parts else ({}, {})
+    def act(self, g: Generator, vec: dict) -> tuple[int, dict]:
+        """g on vec, a {column: value} row, scaled by one nonzero constant:
+        the number of terms it sends out of the window, and its row inside."""
+        cols, column = self.cols, self.column
+        image = self.image(self.ops[g], [(cols[col], x) for col, x in vec.items()])[1]
+        image.pop(self.gone, None)
+        row = {column[n]: x for n, x in image.items() if x and n in column}
+        return sum(map(bool, image.values())) - len(row), row
 
-    def count(self, vec: dict, first: int) -> int:
-        """The number of terms operators first, first + 1, ... send vec out
-        of the window (counting mode), read from outside parts only."""
-        rows = [(x, self.rows[col] or self._row(col)) for col, x in vec.items()]
-        parts = ([(x * q, entry) for x, row in rows for w, q in op
-                  if (entry := row[w]) and entry[1]] for op in self.ops[first:])
-        return sum(len(p[0][1][1]) if len(p) == 1 else len(_sum(p)[1]) for p in parts if p)
+    def count(self, vec: dict, gens: list[Generator]) -> int:
+        """The number of terms gens send vec out of the window (counting
+        mode), summed from the words' terms outside it only."""
+        vec = [(self.cols[col], x) for col, x in vec.items()]
+        return sum(sum(map(bool, self.image(self.ops[g], vec, True)[1].values())) for g in gens)
 
 
 def _close(handle: GModuleHandle, seed: ModuleVector, window: Window, exact: bool,
@@ -399,22 +411,22 @@ def _close(handle: GModuleHandle, seed: ModuleVector, window: Window, exact: boo
         raise ValueError("the seed lies outside the token window")
     span = _RowSpan(tokens)
     held = _primitive if exact else (lambda vec: vec)
-    words = _WordCopy(handle, tokens, exact, algebra_generators(
-        handle.sector, window.gen_bound, include_central=False))
+    gens = algebra_generators(handle.sector, window.gen_bound, include_central=False)
+    table = _ActionTable(handle, tokens, gens, exact)
     frontier = [held(_cleared(span.row(start), exact)[0])]
     span.insert(frontier[0])
     full, pivots = len(tokens), span.pivots
     while frontier and len(pivots) < full:
         new_frontier = []
         for vec in frontier:
-            for op in range(len(words.ops)):
+            for i, g in enumerate(gens):
                 if len(pivots) == full:  # counting mode, for the rest of the level
                     if not counting:
                         return span, tokens, projected
-                    projected += words.count(vec, op)
+                    projected += table.count(vec, gens[i:])
                     break
-                escaped, image = words.act(op, vec)
-                projected += len(escaped)
+                escaped, image = table.act(g, vec)
+                projected += escaped
                 if image and span.insert(image):
                     new_frontier.append(held(image))
         frontier = new_frontier
@@ -634,15 +646,12 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
     All homogeneous generator pairs with indices inside the window act on
     every window token (C acts as zero); nothing is projected, so the
     identities are exact in all module parameters and b.  Each image the
-    suite reads is a sum of q * word over its generator's operator words
-    (k, l, c, q) (:meth:`GModuleHandle.operator`), each word read from the
-    module's word table at the token c lands on; no action reads the bar
-    flag, so a barred token's word is read as its unbarred twin's and only
-    unbarred words are read.  Tokens are numbered, u as 2n and its barred
-    twin as 2n + 1, and each image is a list of (token number, int) pairs
-    summed from two tables, the operator coefficients and the words,
-    cleared and evaluated at one Kronecker point (:func:`kronecker_table`),
-    over one common denominator Delta.  Each identity's numerator
+    suite reads is summed by an :class:`_ActionTable` as a list of (token
+    number, int) pairs, the killed token dropped, from two tables: the
+    operator coefficients and the (unbarred) words they read, composed as
+    Scalars, then cleared and evaluated at one Kronecker point
+    (:func:`kronecker_table`), over one common denominator Delta.  Each
+    identity's numerator
     N = l Delta^2 (x.(y.tok) -+ y.(x.tok) - [x,y].tok), l the lcm of the
     bracket's denominators, is an integer polynomial in the entries with
     coefficients at most H = 2 S l M^2 + |l [x,y]|_1 |Delta|_1 M (M the
@@ -666,52 +675,34 @@ def module_axiom_check(handle: GModuleHandle, window: Window) -> VerificationRep
             pairs.append((x, y, ell, terms))
             top_ell = max(top_ell, ell)
             linear = max(linear, sum(map(abs, terms.values())))
-    ops = {g: handle.operator(g)._terms for g in acting}
-    ops.update((g, handle.operator(g)._terms) for *_, terms in pairs for g in terms)
-
-    word, killed, number = handle.module.word, handle.killed_token, {}
-
-    def num(u: BasisToken) -> int:
-        """The number of unbarred token u, 2n for the n-th numbered."""
-        return number.setdefault(u, 2 * len(number))
-
-    cols = [num(tok.unbarred()) + tok.bar for tok in tokens]
-    gone = killed and num(killed)
-    # every image read (each generator on the window tokens, the acting ones
-    # on every token those reach) as (operator key, (k, l, twin's number),
-    # bar) triples; the sum of its words' supports bounds its support, so
-    # x.(y.tok) and y.(x.tok) each sum at most S products, S the largest such sum
-    plans, raw = {}, {}
-
-    def plan(gens, nums) -> None:
-        twins = list(number)
-        for n in nums:
-            u, m = twins[n >> 1], n & -2
-            lands = [(t := land(c, u.barred() if n & 1 else u)) and t.bar for c in range(4)]
-            for g in gens:
-                keys = plans[g, n] = [(key, (key[0], key[1], m), bar) for key in ops[g]
-                                      if (bar := lands[key[2]]) is not None]
-                for (k, l, _), key, _ in keys:
-                    if key not in raw:
-                        raw[key] = {num(t): c for t, c in word(k, l, u)._terms.items()}
-
-    plan(ops, cols)
-    plan(acting, {t + bar for g in acting for n in cols for _, key, bar in plans[g, n]
-                  for t in raw[key]}.difference(cols, [gone]))
-    bound = max(sum(len(raw[key]) for _, key, _ in keys) for keys in plans.values())
+    table = _ActionTable(handle, tokens, list(dict.fromkeys(
+        acting + [g for *_, terms in pairs for g in terms])), False)
+    # every image read: each generator on the window tokens, the acting ones
+    # on every token those reach; the sum of its words' supports bounds its
+    # support, so x.(y.tok) and y.(x.tok) each sum at most S products, S the
+    # largest such sum
+    plans, cols, gone = table.ops, table.cols, table.gone
+    reached = {m + bar for g in acting for n in cols for _, k, l, bar in plans[g][n & 1]
+               for m in table[k, l, n & -2][1]}
+    reads = [(g, n) for g in plans for n in cols]
+    reads += [(g, n) for g in acting for n in reached.difference(cols, [gone])]
+    words, bound = {}, 0
+    for g, n in reads:
+        size, m = 0, n & -2
+        for _, k, l, _ in plans[g][n & 1]:
+            size += len(words.setdefault((k, l, m), table[k, l, m][1]))
+        bound = max(bound, size)
     at_ops, at_words, delta = kronecker_table(
-        ops, raw, handle.parameters(), 2 * bound * top_ell, linear)
-
-    # images[g][n]: g on token n in ints over Delta, summed from the two tables
-    images = {g: [None] * 2 * len(number) for g in ops}
-    for (g, n), keys in plans.items():
-        out, row = {}, at_ops[g]
-        for op_key, key, bar in keys:
-            q = row[op_key]
-            for t, w in at_words[key].items():
-                out[t + bar] = out.get(t + bar, 0) + q * w
-        out.pop(gone, None)
-        images[g][n] = list(out.items())
+        {g: handle.operator(g)._terms for g in plans}, words, handle.parameters(),
+        2 * bound * top_ell, linear)
+    # the operators and their words at the point, so images are summed in ints
+    table.update((key, (1, terms)) for key, terms in at_words.items())
+    plans = {g: table.plan(row) for g, row in at_ops.items()}
+    images = {g: {} for g in plans}
+    for g, n in reads:
+        image = table.image(plans[g], ((n, 1),))[1]
+        image.pop(gone, None)
+        images[g][n] = list(image.items())
     report = VerificationReport(
         "module-axiom", {"window": window.to_json(), "sector": sector,
                          "tags": list(handle.tags)})

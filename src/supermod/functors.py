@@ -5,8 +5,8 @@ The pipeline has three stages.  ``superize_act`` doubles a catalog module
 the t/D part of a word acts the same on both copies, theta sets the bar
 flag, dtheta clears it.  The t^k D^l image of each token comes from the
 module's own word table (:meth:`DModule.word`), so it is computed once per
-module object and shared by every handle built on it; a span probe at a
-point composes its own from the one-step actions.  ``GModuleHandle``
+module object and shared by every handle built on it; the exact checks
+compose their own from the one-step actions.  ``GModuleHandle``
 then pulls the superconformal action through sigma_b: a generator g acts
 on v as the operator sigma_b(g) applied to v (:meth:`GModuleHandle.operator`);
 each handle computes the operator of each generator and the image of each

@@ -420,7 +420,7 @@ def test_counting_mode_without_its_count_is_caught(monkeypatch):
     # the negative control: a counting mode that drops the out-of-window
     # terms changes projectedTerms, and the comparison above must see it
     monkeypatch.delenv("SUPERMOD_SEED", raising=False)
-    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: 0)
+    monkeypatch.setattr(analysis._ActionTable, "count", lambda table, vec, gens: 0)
     assert _counting_mismatches()
 
 
@@ -428,12 +428,12 @@ def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
     # an image is built ("act") only while the span is short of full rank;
     # the rest of the level is counted ("count"), once per vector
     applications, spans = [], []
-    real_act, real_count = analysis._WordCopy.act, analysis._WordCopy.count
+    real_act, real_count = analysis._ActionTable.act, analysis._ActionTable.count
     real_init = analysis._RowSpan.__init__
-    monkeypatch.setattr(analysis._WordCopy, "act", lambda words, i, vec: (
-        applications.append(("act", spans[-1].rank)) or real_act(words, i, vec)))
-    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: (
-        applications.append(("count", spans[-1].rank)) or real_count(words, vec, first)))
+    monkeypatch.setattr(analysis._ActionTable, "act", lambda table, g, vec: (
+        applications.append(("act", spans[-1].rank)) or real_act(table, g, vec)))
+    monkeypatch.setattr(analysis._ActionTable, "count", lambda table, vec, gens: (
+        applications.append(("count", spans[-1].rank)) or real_count(table, vec, gens)))
     monkeypatch.setattr(analysis._RowSpan, "__init__",
                         lambda self, tokens: spans.append(self) or real_init(self, tokens))
     handle = GModuleHandle(LaurentModule(THIRD), THIRD)
@@ -446,72 +446,138 @@ def test_counting_mode_skips_elimination_after_full_rank(monkeypatch):
 
 def test_a_cross_check_draw_stops_at_full_rank(monkeypatch):
     # a draw keeps only its rank, so it counts no projected term: every
-    # count comes from the symbolic closure, whose copy is not exact
+    # count comes from the symbolic closure, whose table is not exact
     monkeypatch.delenv("SUPERMOD_SEED", raising=False)
     exact = []
-    real_count = analysis._WordCopy.count
-    monkeypatch.setattr(analysis._WordCopy, "count", lambda words, vec, first=0: (
-        exact.append(words.exact) or real_count(words, vec, first)))
+    real_count = analysis._ActionTable.count
+    monkeypatch.setattr(analysis._ActionTable, "count", lambda table, vec, gens: (
+        exact.append(table.exact) or real_count(table, vec, gens)))
     handle = laurent()
     rep = span_probe(handle, single(handle.module.token(0)), Window(2, 3, 4))
     assert rep.full and rep.cross_check_rank == rep.ambient
     assert exact and not any(exact)
 
 
-def test_word_copy_rescales_its_sums_on_a_new_denominator():
-    # the word entries of this module lie over different denominators, so
-    # act sums them over their lcm, rescaling each; each image must be the
-    # superize_act image, split at the window, up to one common nonzero
+def test_action_table_rescales_its_sums_on_a_new_denominator():
+    # the words of this module lie over different denominators, so an image
+    # sums them over their lcm, rescaling the sum so far; each image must be
+    # the superize_act image, split at the window, up to one common nonzero
     # factor
     module = FractionModule(("1/3", "1/2"), (0, HALF))
     for b in (THIRD, 0, HALF):
         handle = GModuleHandle(module, b)
         tokens = handle.tokens(1)
         gens = algebra_generators(0, 1, include_central=False)
-        words = analysis._WordCopy(handle, tokens, True, gens)
-        for i, gen in enumerate(gens):
+        table = analysis._ActionTable(handle, tokens, gens, True)
+        for gen in gens:
             for first, second in zip(range(len(tokens)), range(1, len(tokens))):
                 vec = {first: 1, second: 2}
-                out, into = words.act(i, vec)
-                got = [out, {tokens[col]: c for col, c in into.items()}]
+                escaped, into = table.act(gen, vec)
+                got = {tokens[col]: c for col, c in into.items()}
                 want = handle.reduce(superize_act(module, handle.operator(gen), ModuleVector(
                     {tokens[col]: scalar(c) for col, c in vec.items()})))
-                split = [{t: c.as_fraction() for t, c in want.items() if (t in tokens) == inside}
-                         for inside in (False, True)]
-                assert [set(part) for part in got] == [set(part) for part in split]
-                pairs = [(part[t], c) for part, want_part in zip(got, split)
-                         for t, c in want_part.items()]
-                if pairs:
-                    ratio = Fraction(pairs[0][0]) / pairs[0][1]
-                    assert all(x == ratio * c for x, c in pairs), (b, gen, vec)
-        # the entries read lie over more than one denominator
-        assert len({d for d, *_ in words.values()}) > 1
+                assert escaped == sum(t not in tokens for t in want._terms)
+                inside = {t: c.as_fraction() for t, c in want.items() if t in tokens}
+                assert set(got) == set(inside)
+                if got:
+                    ratio = Fraction(next(iter(got.values()))) / inside[next(iter(got))]
+                    assert all(x == ratio * inside[t] for t, x in got.items()), (b, gen, vec)
+        # the words read lie over more than one denominator
+        assert len({d for d, _ in table.values()}) > 1
 
 
-def test_word_copy_entries_are_the_module_words():
-    # each entry the probe reads, over its denominator, is DModule.word at
-    # the point, reduced and split at the window: every family in both
-    # sectors, the twists, and fraction poles away from 0
+def _table_token(table, n):
+    """The token a table numbers n."""
+    u = table.twins[n >> 1]
+    return u.barred() if n & 1 else u
+
+
+def _table_mismatches(handle, table, pairs):
+    """Words, images and counts of a table that differ from the module's
+    word table and the handle's Scalar images: each word over its
+    denominator (a key ~n holding the terms of word n with neither twin in
+    the window), each (generator, token number) image of ``pairs`` over its
+    denominator and the operator's (1 for a Scalar table, whose operators
+    are not cleared), and the count of its terms outside the window."""
+    out, window = [], {_table_token(table, n) for n in table.column}
+
+    def value(x, den):
+        return Fraction(x, den) if table.exact else x * scalar(den) ** -1
+
+    for (k, l, n), (den, terms) in list(table.items()):
+        want = handle.module.word(k, l, table.twins[max(n, ~n) >> 1])._terms
+        if n < 0:
+            want = {t: c for t, c in want.items() if not {t, t.barred()} & window}
+        if {_table_token(table, m): value(x, den) for m, x in terms.items()} != want:
+            out.append(("word", k, l, n))
+    for gen, n in pairs:
+        den, terms = table.image(table.ops[gen], [(n, 1)])
+        terms.pop(table.gone, None)
+        scale = analysis._cleared(handle.operator(gen)._terms, table.exact)[1]
+        got = {_table_token(table, m): value(x, den * scale) for m, x in terms.items() if x}
+        want = handle.image(gen, _table_token(table, n))._terms
+        if got != want:
+            out.append(("image", render_generator(gen), n))
+        if table.count({table.column[n]: 1}, [gen]) != len(set(want) - window):
+            out.append(("count", render_generator(gen), n))
+    return out
+
+
+def test_action_table_entries_are_the_module_words(monkeypatch):
+    # every word a table composes is DModule.word, and every image it sums
+    # (its barred entries re-barred, the killed token dropped) is the
+    # handle's Scalar image: in ints over a denominator at a rational point,
+    # for every family in both sectors, the twists, and fraction poles away
+    # from 0; and as Scalars on symbolic handles, as module_axiom_check
+    # composes them before kronecker_table clears them
     handles = [handle for handle, *_ in _point_cases()]
     handles.append(GModuleHandle(FractionModule((THIRD, HALF, 2), (0, HALF, -2)), THIRD, sector=1))
     dens = set()
     for handle in handles:
         tokens = handle.tokens(2)
         gens = algebra_generators(handle.sector, 2, include_central=False)
-        words = analysis._WordCopy(handle, tokens, True, gens)
-        for i in range(len(gens)):
-            for col in range(len(tokens)):
-                words.act(i, {col: 1})
-        assert len(words) > 2 * len(tokens)
-        for (k, l, tok), (den, out, into) in words.items():
-            want = handle.reduce(handle.module.word(k, l, tok))
-            got = {**out, **{tokens[col]: x for col, x in into.items()}}
-            assert {t: Fraction(x, den) for t, x in got.items()} == \
-                {t: c.as_fraction() for t, c in want._terms.items()}, (handle.describe(), k, l, tok)
-            assert all(t not in tokens for t in out)
-        dens.update(d for d, *_ in words.values())
-    # the entries lie over denominators their steps composed
+        table = analysis._ActionTable(handle, tokens, gens, True)
+        pairs = [(gen, n) for gen in gens for n in table.cols]
+        assert _table_mismatches(handle, table, pairs) == [], handle.describe()
+        assert len(table) > 2 * len(tokens) and min(n for *_, n in table) < 0
+        dens.update(d for d, _ in table.values())
+    # the words lie over denominators their steps composed
     assert 3 in dens and max(dens) > 3
+
+    tables, planned = [], []
+    real_init, real_kronecker = analysis._ActionTable.__init__, analysis.kronecker_table
+    monkeypatch.setattr(analysis._ActionTable, "__init__", lambda table, *args: (
+        tables.append(table) or real_init(table, *args)))
+    monkeypatch.setattr(analysis, "kronecker_table", lambda *args: planned.append(
+        _table_mismatches(handle, tables[-1], [
+            (gen, n) for gen in tables[-1].ops for n in tables[-1].cols])) or real_kronecker(*args))
+    for name in AXIOM_HANDLES:
+        handle = AXIOM_HANDLES[name]()
+        assert module_axiom_check(handle, Window(1, 1)).passed
+        assert not tables[-1].exact
+    assert planned == [[]] * len(AXIOM_HANDLES)
+
+
+def test_a_probe_reads_only_the_columns_its_vectors_hold(monkeypatch):
+    # laziness: this probe fills its window in its first level, so every
+    # image it sums, counting mode included, is of a generator on its seed,
+    # and every word of more than one step it composes is on the seed,
+    # where an eager table would build those of all six window tokens
+    tables, reads = [], []
+    real_init, real_image = analysis._ActionTable.__init__, analysis._ActionTable.image
+    monkeypatch.setattr(analysis._ActionTable, "__init__", lambda table, *args: (
+        tables.append(table) or real_init(table, *args)))
+    monkeypatch.setattr(analysis._ActionTable, "image", lambda table, op, vec, *args: (
+        reads.extend((gen, n) for gen in table.ops if table.ops[gen] is op for n, _ in vec)
+        or real_image(table, op, vec, *args)))
+    handle = GModuleHandle(LaurentModule(THIRD), THIRD)
+    seed = handle.module.token(0)
+    rep = span_probe(handle, single(seed), Window(1, 1, 1))
+    assert rep.full and rep.ambient == 6
+    [table] = tables
+    gens = algebra_generators(0, 1, include_central=False)
+    assert sorted(reads) == sorted((gen, table.num(seed)) for gen in gens)
+    assert {max(n, ~n) for k, l, n in table if abs(k) + l > 1} == {table.num(seed)}
 
 
 # ----------------------------------------------------------------------

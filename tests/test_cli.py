@@ -309,6 +309,14 @@ def test_probe_redraws_a_cross_check_point_on_a_pole(capsys, monkeypatch):
     assert report["notes"] == ["cross-checked at a=25/31, b=29/31"]
 
 
+def test_a_malformed_cross_check_seed_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERMOD_SEED", "x")
+    code, out, err = run(capsys, "probe", "--module", '{"family":"laurent","alpha":"a"}',
+                         "--b", "1/3", "--seed", "t^0", "--window", "1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: SUPERMOD_SEED must be an integer, got 'x'\n"
+
+
 def test_a_singular_specialization_names_its_point(capsys):
     code, out, err = run(capsys, "probe", "--module", POLE_AT_DRAW, "--b", "b",
                          "--seed", "t^0", "--window", "1,1,1",

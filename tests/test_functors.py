@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from supermod import functors
+from supermod import analysis, functors
 from supermod.analysis import Window, module_axiom_check, span_probe
 from supermod.dmodules import (
     DegreeModule,
-    DModule,
     FractionModule,
     LaurentModule,
     ModuleVector,
@@ -397,48 +396,52 @@ def test_specialized_module_and_handle_start_with_their_own_word_table():
     assert _table_is_fresh(hs.module) and _table_is_fresh(h.module)
 
 
+def _window_images(handle):
+    """Every window generator's Scalar image of every window token, at
+    window 1,1, through g_act and so the module's word table."""
+    return [g_act(handle, LieVector.basis(g, handle.sector), single(tok))
+            for g in algebra_generators(handle.sector, 1, include_central=False)
+            for tok in handle.tokens(1)]
+
+
 @pytest.mark.parametrize("make_handle", [
     lambda: GModuleHandle(LaurentModule("a"), B),
     lambda: GModuleHandle(OmegaModule(2), THIRD),
     lambda: GModuleHandle(FractionModule([THIRD, THIRD], [0, 1]), THIRD),
     lambda: GModuleHandle(DegreeModule(2), THIRD, sector=1),
 ], ids=["laurent-symbolic", "omega", "fraction", "degree-1/2"])
-def test_checks_leave_the_word_table_intact(make_handle, monkeypatch):
-    # span_probe acts on its own specialized copy of the handle, so collect
-    # every module whose word table is read
-    used = {}
-    real_word = DModule.word
-
-    def recording(spec, k, l, tok):
-        used[id(spec)] = spec
-        return real_word(spec, k, l, tok)
-
-    monkeypatch.setattr(DModule, "word", recording)
+def test_checks_leave_the_word_table_intact(make_handle):
+    # g_act fills the module's word table; the checks compose their own
+    # words (analysis._ActionTable) and leave every entry as it was
     h = make_handle()
+    _window_images(h)
+    before = dict(h.module._words)
+    assert before and _table_is_fresh(h.module)
     assert module_axiom_check(h, Window(1, 1)).passed
     report = span_probe(h, single(h.module.tokens(1)[0]), Window(1, 2, 2))
     assert report.rank > 0
-    assert id(h.module) in used
-    for spec in used.values():
-        assert spec._words and _table_is_fresh(spec)
+    assert h.module._words.keys() == before.keys()
+    assert all(h.module._words[key] is image for key, image in before.items())
+    assert _table_is_fresh(h.module)
 
 
 def test_twisted_handles_share_the_word_table(monkeypatch):
     module = OmegaModule("lam")
-    assert module_axiom_check(GModuleHandle(module, B), Window(1, 1)).passed
+    plain = _window_images(GModuleHandle(module, B))
     # the pi twist asks for the very same words: no new D-chain runs
     chains = []
     real_act_D = OmegaModule.act_D
     monkeypatch.setattr(OmegaModule, "act_D",
                         lambda self, vec: chains.append(vec) or real_act_D(self, vec))
-    pi = GModuleHandle(module, B, pi=True)
-    assert module_axiom_check(pi, Window(1, 1)).passed
+    assert _window_images(GModuleHandle(module, B, pi=True)) == plain
     assert chains == []
+    monkeypatch.undo()
     for twisted in (GModuleHandle(module, B, sigma=True),
                     GModuleHandle(module, B, sector=1, sigma=True)):
         assert twisted.module is module
         report = module_axiom_check(twisted, Window(1, 1))
         assert report.passed and report.checked
+        _window_images(twisted)
     assert _table_is_fresh(module)
 
 
@@ -524,28 +527,41 @@ SYMBOLIC_FAMILIES = [
 SHAPES = [(0, False), (0, True), (1, False), (1, True)]
 
 
-def _stray_rings(handle):
-    """Rings other than the handle's among its images and its module's words."""
-    vectors = list(handle._cache.values()) + list(handle.module._words.values())
-    return {c._names for vec in vectors for c in vec._terms.values()
-            if c._p is None} - {handle.parameters()}
+def _stray_rings(handle, tables=()):
+    """Rings other than the handle's among its images and operators, its
+    module's words, and the {key: {key2: Scalar}} tables given."""
+    vectors = list(handle._cache.values()) + list((handle.module._words or {}).values())
+    coeffs = [c for vec in vectors for c in vec._terms.values()]
+    coeffs += [c for table in tables for row in table.values() for c in row.values()]
+    return {c._names for c in coeffs if c._p is None} - {handle.parameters()}
+
+
+def _axiom_check_tables(handle, monkeypatch):
+    """Run module_axiom_check on window 1,1, asserting it passes; return the
+    two Scalar tables, operators and words, it hands kronecker_table."""
+    seen, real = [], analysis.kronecker_table
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "kronecker_table", lambda ops, words, *rest: (
+            seen.extend((ops, words)) or real(ops, words, *rest)))
+        assert module_axiom_check(handle, Window(1, 1)).passed
+    return seen
 
 
 @pytest.mark.parametrize("make_module", SYMBOLIC_FAMILIES,
                          ids=["laurent", "omega", "fraction", "degree"])
 @pytest.mark.parametrize("sector,sigma", SHAPES)
-def test_symbolic_checks_stay_in_the_handle_ring(make_module, sector, sigma):
+def test_symbolic_checks_stay_in_the_handle_ring(make_module, sector, sigma, monkeypatch):
     handle = GModuleHandle(make_module(), B, sector=sector, sigma=sigma)
     assert "b" in handle.parameters() and handle.b._names == handle.parameters()
-    assert module_axiom_check(handle, Window(1, 1)).passed
-    assert handle._cache and _stray_rings(handle) == set()
+    tables = _axiom_check_tables(handle, monkeypatch)
+    assert handle._cache and tables[1] and _stray_rings(handle, tables) == set()
 
 
 def test_ring_invariant_fails_without_widening(monkeypatch):
     monkeypatch.setattr(LaurentModule, "widen", lambda self, names: None)
     handle = GModuleHandle(LaurentModule("a"), B)
-    assert module_axiom_check(handle, Window(1, 1)).passed
-    assert _stray_rings(handle) == {("a",)}
+    tables = _axiom_check_tables(handle, monkeypatch)
+    assert _stray_rings(handle, tables) == {("a",)}
 
 
 def test_widening_keeps_the_module_value_and_drops_a_foreign_table():
@@ -556,12 +572,11 @@ def test_widening_keeps_the_module_value_and_drops_a_foreign_table():
     assert module == LaurentModule("a") and module.to_json()["alpha"] == "a"
 
 
-def test_partly_specialized_and_further_widened_handles_stay_correct():
+def test_partly_specialized_and_further_widened_handles_stay_correct(monkeypatch):
     handle = GModuleHandle(FractionModule(["a0", "a1"], [0, 1]), B)
     partial = handle.specialize({"a0": THIRD})
     assert partial.parameters() == ("a1", "b")
-    assert module_axiom_check(partial, Window(1, 1)).passed
-    assert _stray_rings(partial) == set()
+    assert _stray_rings(partial, _axiom_check_tables(partial, monkeypatch)) == set()
     x = gen("G+", 2)
     for tok in handle.module.tokens(1):
         full = g_act(handle, x, single(tok))
