@@ -46,7 +46,7 @@ from .dmodules import BasisToken, LaurentModule, ModuleVector, render_token, ren
 from .functors import GModuleHandle, g_act, land
 from .liealg import (Generator, LieVector, VerificationReport, _basis_bracket,
                      algebra_generators, bracket, parity, render_generator)
-from .scalars import ONE, ScalarError, SingularSpecializationError, kronecker_table, scalar
+from .scalars import ScalarError, SingularSpecializationError, kronecker_table, scalar
 
 __all__ = [
     "Window",
@@ -338,7 +338,7 @@ class _ActionTable(dict):
         elif abs(k) + l > 1:  # t^(+-1) or D after a shorter word
             step = (1 if k > 0 else -1, 0) if k else (0, 1)
             den, terms = self[k - step[0], l - step[1], n]
-            d, terms = self.image([[(1 if self.exact else ONE, *step, 0)]], terms.items())
+            d, terms = self.image([[(1, *step, 0)]], terms.items())
             word = den * d, {t: y for t, y in terms.items() if y}
         else:  # the token itself or one step, from the module
             vec, module = ModuleVector.single(self.twins[n >> 1]), self.module
@@ -511,8 +511,9 @@ def submodule_check(handle: GModuleHandle, subspace: list[ModuleVector],
     allowed = set(tokens)
     span = _RowSpan(tokens)
     for vec in subspace:
-        if vec.is_zero:
-            raise ValueError("subspace generators must be nonzero")
+        if handle.reduce(vec).is_zero:
+            raise ValueError("subspace generators must be nonzero" if vec.is_zero else
+                             f"{render_vector(handle.module, vec)} is zero in the quotient")
         span.insert(span.row(_project(vec, allowed)[0]))
     if not span.rank:
         raise ValueError("every subspace generator lies outside the token "

@@ -35,9 +35,9 @@ family-agnostic entry points; they add the ``~`` bar suffix and reject a
 token of another family.
 
 Each module object keeps a word table, ``DModule.word(k, l, tok)`` =
-t^k D^l applied to one token: D^l tok is built from D^(l-1) tok, so every
-D-chain runs once per module and token, and the superize functor reads
-every word it applies from there.  The table lives and dies with the
+t^k D^l on one token, barred or not: D^l tok is built from D^(l-1) tok, so
+every D-chain runs once per module and token, and the superize functor
+reads every word it applies from there.  The table lives and dies with the
 module; ``specialize`` returns a new module, which starts with an empty one,
 and ``widen``, which re-expresses the parameters in a wider ring, empties it.
 """
@@ -206,20 +206,16 @@ class DModule:
     def word(self, k: int, l: int, tok: BasisToken) -> ModuleVector:
         """t^k D^l applied to one token, computed once per module.
 
-        D^l tok extends D^(l-1) tok, so each D-chain runs once per token;
-        no action reads the bar flag, so a barred token re-bars its twin's
-        entry.  The table lives on this object: a specialized module is a
-        new object and starts empty.  Callers must not modify the result.
+        D^l tok extends D^(l-1) tok, so each D-chain runs once per token,
+        barred or not.  The table lives on this object: a specialized module
+        is a new object and starts empty.  Callers must not modify the result.
         """
         table = self._words
         if table is None:
             table = self._words = {}
         image = table.get((k, l, tok))
         if image is None:
-            if tok.bar:
-                twin = self.word(k, l, tok.unbarred())
-                image = twin._like({t.barred(): c for t, c in twin._terms.items()})
-            elif k:
+            if k:
                 image = self.act_t(k, self.word(0, l, tok))
             elif l:
                 image = self.act_D(self.word(0, l - 1, tok))

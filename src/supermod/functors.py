@@ -9,9 +9,8 @@ module object and shared by every handle built on it; the exact checks
 compose their own from the one-step actions.  ``GModuleHandle``
 then pulls the superconformal action through sigma_b: a generator g acts
 on v as the operator sigma_b(g) applied to v (:meth:`GModuleHandle.operator`);
-each handle computes the operator of each generator and the image of each
-(generator, token) pair once and keeps them, all in one ring:
-the handle widens b and its module to one parameter tuple
+each handle computes the operator of each generator once and keeps it, in
+one ring: the handle widens b and its module to one parameter tuple
 (:meth:`DModule.widen`).  Handles carry three independent twists on top
 of the plain action:
 
@@ -100,7 +99,7 @@ class GModuleHandle:
     pi: bool = False
     sigma: bool = False
     quotient: bool = False
-    #: (gen, tok) -> image and (gen, None) -> operator, filled on first use
+    #: gen -> operator, filled on first use
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     #: the sorted names of the module's parameters and b: the handle's ring
@@ -159,19 +158,11 @@ class GModuleHandle:
     def parameters(self) -> tuple[str, ...]:
         return self._names
 
-    def image(self, gen: Generator, tok: BasisToken) -> ModuleVector:
-        """gen . tok, reduced, computed once from gen's operator into the image table."""
-        image = self._cache.get((gen, tok))
-        if image is None:
-            image = self._cache[gen, tok] = self.reduce(superize_act(
-                self.module, self.operator(gen), ModuleVector.single(tok)))
-        return image
-
     def operator(self, gen: Generator) -> SDElement:
         """The Weyl-superalgebra element gen acts as, computed once per handle:
         sigma_b of gen's sigma twist, pulled back along the inverse spectral
         shift in sector 1/2.  Callers must not modify it."""
-        op = self._cache.get((gen, None))
+        op = self._cache.get(gen)
         if op is None:
             x = LieVector.basis(gen, self.sector)
             if self.sigma:
@@ -182,7 +173,7 @@ class GModuleHandle:
                     for target, factor in delta_terms(g, -1):
                         shifted.add_term(target, c * factor)
                 x = shifted
-            op = self._cache[gen, None] = apply_sigma_b(x, self.b)
+            op = self._cache[gen] = apply_sigma_b(x, self.b)
         return op
 
     def specialize(self, assignments: dict) -> "GModuleHandle":
@@ -205,20 +196,18 @@ class GModuleHandle:
 def g_act(handle: GModuleHandle, g: LieVector, v: ModuleVector) -> ModuleVector:
     """Act by a superconformal vector on a constructed module.
 
-    The action is linear in both arguments, so it is summed from the
-    handle's (generator, token) images.  The central element acts as zero.
-    Raises ValueError when the vector's sector does not match the handle's.
+    Each generator's operator acts on the reduced vector, and the sum is
+    reduced; the central element's operator is zero.  Raises ValueError
+    when the vector's sector does not match the handle's.
     """
     if g.sector != handle.sector:
         raise ValueError(
             f"vector lives in sector {g.sector} but the handle is sector "
             f"{handle.sector}")
-    out = ModuleVector.zero()
-    for tok, c in handle.reduce(v)._terms.items():
-        for gen, coeff in g.items():
-            if gen.kind != "C":
-                out.add_scaled(handle.image(gen, tok), coeff * c)
-    return out
+    v, out = handle.reduce(v), ModuleVector.zero()
+    for gen, coeff in g.items():
+        out.add_scaled(superize_act(handle.module, handle.operator(gen), v), coeff)
+    return handle.reduce(out)
 
 
 # ----------------------------------------------------------------------

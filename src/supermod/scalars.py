@@ -323,8 +323,8 @@ def _pexquo(a: dict, b: dict) -> dict | None:
 def _clear(table: dict, names: tuple[str, ...]) -> tuple[dict, list, dict, dict]:
     """A table {key: {key2: Scalar}} over ``names``, cleared over its Delta.
 
-    Returns {key: {key2: i}}, i indexing the distinct Scalars read (by
-    identity) in a list of (n, parts of d) for each coefficient n/d, then
+    Returns {key: {key2: i}}, i indexing the distinct Scalars read (rationals
+    by value) in a list of (n, parts of d) for each coefficient n/d, then
     {parts of d: Delta/d} and Delta.  Each coefficient is read raw, so no
     gcd runs.  Delta is the lcm of the denominators' monomial parts c*x^e
     times their primitive parts, largest first, each skipped where it
@@ -332,15 +332,16 @@ def _clear(table: dict, names: tuple[str, ...]) -> tuple[dict, list, dict, dict]
     """
     zero = (0,) * len(names)
     seen: dict = {}  # -r or id(d) -> (d, its parts), d kept so its id stays
-    index: dict = {}  # id(c) -> i; the table keeps each c, so its id stays
+    index: dict = {}  # (p, r) or id(c) -> i; the table keeps each c, so its id stays
     factors, rows = [], {}
     for key, terms in table.items():
         row = rows[key] = {}
         for key2, c in terms.items():
-            if (i := index.get(id(c))) is not None:
+            ident = id(c) if c._p is None else (c._p, c._r)
+            if (i := index.get(ident)) is not None:
                 row[key2] = i
                 continue
-            row[key2] = index[id(c)] = len(factors)
+            row[key2] = index[ident] = len(factors)
             if c._p is None:
                 c = c.over(names)
                 num, den, tag = c._n, c._d, id(c._d)

@@ -494,7 +494,7 @@ def _table_token(table, n):
 
 def _table_mismatches(handle, table, pairs):
     """Words, images and counts of a table that differ from the module's
-    word table and the handle's Scalar images: each word over its
+    word table and g_act's Scalar images: each word over its
     denominator (a key ~n holding the terms of word n with neither twin in
     the window), each (generator, token number) image of ``pairs`` over its
     denominator and the operator's (1 for a Scalar table, whose operators
@@ -515,7 +515,8 @@ def _table_mismatches(handle, table, pairs):
         terms.pop(table.gone, None)
         scale = analysis._cleared(handle.operator(gen)._terms, table.exact)[1]
         got = {_table_token(table, m): value(x, den * scale) for m, x in terms.items() if x}
-        want = handle.image(gen, _table_token(table, n))._terms
+        want = g_act(handle, LieVector.basis(gen, handle.sector),
+                     single(_table_token(table, n)))._terms
         if got != want:
             out.append(("image", render_generator(gen), n))
         if table.count({table.column[n]: 1}, [gen]) != len(set(want) - window):
@@ -525,8 +526,8 @@ def _table_mismatches(handle, table, pairs):
 
 def test_action_table_entries_are_the_module_words(monkeypatch):
     # every word a table composes is DModule.word, and every image it sums
-    # (its barred entries re-barred, the killed token dropped) is the
-    # handle's Scalar image: in ints over a denominator at a rational point,
+    # (its barred entries re-barred, the killed token dropped) is g_act's
+    # Scalar image: in ints over a denominator at a rational point,
     # for every family in both sectors, the twists, and fraction poles away
     # from 0; and as Scalars on symbolic handles, as module_axiom_check
     # composes them before kronecker_table clears them
@@ -835,7 +836,7 @@ def _perturb(handle):
     """Double L[1]'s operator in the handle's table: every image of L[1] is
     summed from it, by the integer certificate and by g_act alike."""
     gen = Generator("L", 2)
-    handle._cache[gen, None] = handle.operator(gen).scale(2)
+    handle._cache[gen] = handle.operator(gen).scale(2)
 
 
 AXIOM_HANDLES = {
@@ -891,10 +892,11 @@ def test_module_axiom_products_cover_every_image_read(name, monkeypatch):
     gens = algebra_generators(handle.sector, window.gen_bound, include_central=True)
     ell = max(c.denominator for i, x in enumerate(gens) for y in gens[i:]
               for g, c in _basis_bracket(x, y) if g.kind != "C")
-    acting = [g for g in gens if g.kind != "C"]
-    images = [handle.image(g, tok) for g in acting for tok in handle.tokens(window.token_bound)]
+    acting = [LieVector.basis(g, handle.sector) for g in gens if g.kind != "C"]
+    images = [g_act(handle, x, single(tok))
+              for x in acting for tok in handle.tokens(window.token_bound)]
     reached = {tok for image in images for tok in image._terms}
-    images += [handle.image(g, tok) for g in acting for tok in reached]
+    images += [g_act(handle, x, single(tok)) for x in acting for tok in reached]
     s = max(len(image._terms) for image in images)
     assert len(seen) == 1 and seen[0] >= 2 * ell * s
 
@@ -929,18 +931,16 @@ def test_a_passing_check_module_builds_no_scalar_image(family, sector, sigma,
     # the certificate reads operators and words at its Kronecker point;
     # Scalar images are built only to render a failing case
     calls = []
-    real_act, real_image = functors.superize_act, GModuleHandle.image
+    real_act = functors.superize_act
     monkeypatch.setattr(functors, "superize_act",
                         lambda *args: calls.append("superize_act") or real_act(*args))
-    monkeypatch.setattr(GModuleHandle, "image",
-                        lambda self, *args: calls.append("image") or real_image(self, *args))
     argv = ["check-module", "--module", SYMBOLIC_SPECS[family], "--b", "b",
             "--sector", sector, "--window", "1,1"] + ["--sigma"] * sigma
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["checked"] > 0
     assert calls == []
-    # the spies do see the Scalar images g_act builds
+    # the spy does see the Scalar images g_act builds
     handle = laurent()
     g_act(handle, LieVector.basis(Generator("L", 2), 0), single(handle.module.token(0)))
-    assert calls == ["image", "superize_act"]
+    assert calls == ["superize_act"]

@@ -178,6 +178,15 @@ def test_check_submodule_outside_the_window_exits_two(capsys):
     assert "outside the token window" in err
 
 
+def test_check_submodule_names_a_generator_zero_in_the_quotient(capsys):
+    # t^0 is the killed token: inside the window, but zero in the quotient
+    code, out, err = run(capsys, "check-submodule", "--module",
+                         '{"family":"laurent","alpha":"0"}', "--b", "0", "--quotient",
+                         "--vector", "t^0", "--window", "1,1")
+    assert code == 2 and out == ""
+    assert "t^0 is zero in the quotient" in err and "window" not in err
+
+
 # ----------------------------------------------------------------------
 # output plumbing
 

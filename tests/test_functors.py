@@ -220,7 +220,7 @@ def test_handle_describe_and_specialize():
 
 
 # ----------------------------------------------------------------------
-# the per-handle (generator, token) image table
+# g_act on a vector of several tokens
 
 def _spread(make_handle, g, v):
     """g . v summed from basis generators on single tokens, on a fresh handle."""
@@ -233,29 +233,45 @@ def _spread(make_handle, g, v):
     return out
 
 
-@pytest.mark.parametrize("make_handle, g, tokens", [
-    (lambda: GModuleHandle(LaurentModule(-2), 0, quotient=True),
-     LieVector(0, {Generator("L", 2): scalar(3), Generator("G+", -2): A,
-                   Generator("H", 0): scalar(Fraction(-1, 2)),
-                   Generator("C", 0): scalar(5)}),
-     [(1, False), (2, False), (2, True), (-1, True)]),
-    (lambda: GModuleHandle(LaurentModule("a"), B, sector=1, sigma=True),
-     LieVector(1, {Generator("L", 0): scalar(2), Generator("G+", 1): B,
-                   Generator("G-", -1): scalar(Fraction(-1, 3)),
-                   Generator("C", 0): scalar(7)}),
-     [(0, False), (1, True), (-2, False)]),
-], ids=["quotient", "sector-1/2-sigma"])
-def test_g_act_is_the_sum_of_single_token_images(make_handle, g, tokens):
+def _vector_cases():
+    """Every family in both sectors, plain and under each twist, and the
+    quotient (killed token t^2) in both sectors."""
+    families = {"laurent": lambda: LaurentModule("a"), "omega": lambda: OmegaModule("l"),
+                "fraction": lambda: FractionModule(["a0", "a1"], [0, 1]),
+                "degree": lambda: DegreeModule(2)}
+    cases = [pytest.param(lambda make=make, sector=sector, twist=twist: GModuleHandle(
+                 make(), B, sector=sector, **({twist: True} if twist != "plain" else {})),
+                          id=f"{name}-{sector}-{twist}")
+             for name, make in families.items() for sector in (0, 1)
+             for twist in ("plain", "pi", "sigma")]
+    cases += [pytest.param(lambda sector=sector: GModuleHandle(
+        LaurentModule(-2), 0, sector=sector, quotient=True), id=f"quotient-{sector}")
+        for sector in (0, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("make_handle", _vector_cases())
+def test_g_act_is_the_sum_of_single_token_images(make_handle):
     h = make_handle()
-    coeffs = [scalar(Fraction(-2, 3)), A + 1, scalar(4), scalar(Fraction(1, 5))]
-    v = ModuleVector.zero()
-    for (n, bar), c in zip(tokens, coeffs):
-        v = v + single(h.module.token(n, bar)).scale(c)
-    got = g_act(h, g, v)
-    assert got == _spread(make_handle, g, v)
-    # a second call is served from the table and agrees
-    assert g_act(h, g, v) == got
+    s = h.sector
+    g = LieVector(s, {Generator("L", 2): scalar(3), Generator("G+", s - 2): A,
+                      Generator("G-", s): scalar(Fraction(-1, 3)),
+                      Generator("H", 0): scalar(Fraction(-1, 2)), Generator("C", 0): scalar(5)})
+    tokens = h.module.tokens(1)
+    terms = {tokens[0]: scalar(Fraction(-2, 3)), tokens[-1].barred(): A + 1,
+             tokens[-1]: scalar(4)}
     if h.quotient:
+        terms[h.killed_token] = scalar(Fraction(1, 5))
+    v = ModuleVector(terms)
+    got = g_act(h, g, v)
+    assert got == _spread(make_handle, g, v) and not got.is_zero
+    # sigma_b sends the central element to the zero operator
+    assert g_act(h, LieVector.basis(Generator("C", 0), s), v).is_zero
+    if h.quotient:
+        # the killed token acts as zero and t^1 reaches it, but no image holds it
+        assert g_act(h, g, single(h.killed_token)).is_zero
+        raw = superize_act(h.module, h.operator(Generator("L", 2)), single(tokens[-1]))
+        assert not raw.coefficient(h.killed_token).is_zero
         assert got.coefficient(h.killed_token).is_zero
 
 
@@ -497,22 +513,20 @@ def test_probe_runs_each_d_chain_step_once(monkeypatch):
     assert len(set(steps)) == len(steps)
 
 
-def test_barred_word_reuses_its_unbarred_twin(monkeypatch):
-    module = FractionModule(["a0", "a1"], [0, 1])
-    tok = module.pole_token(1, 1)
-    module.word(-1, 2, tok)
-    calls = []
-    for name in ("act_D", "act_t"):
-        real = getattr(FractionModule, name)
-        monkeypatch.setattr(FractionModule, name,
-                            lambda self, *args, real=real, name=name:
-                            calls.append(name) or real(self, *args))
-    barred = module.word(-1, 2, tok.barred())
-    assert calls == []
-    monkeypatch.undo()
-    want = _chain(module, -1, 2, tok.barred())
-    assert barred == want and not barred.is_zero
-    assert all(tok.bar for tok, _ in barred.items())
+@pytest.mark.parametrize("module", [
+    LaurentModule("a"), OmegaModule("lam"), FractionModule(["a0", "a1"], [0, 1]),
+    DegreeModule(2),
+], ids=["laurent", "omega", "fraction", "degree"])
+def test_barred_word_is_its_twins_word_barred(module):
+    # no action reads the bar flag: a barred token's word, computed on its
+    # own, is its unbarred twin's word with every token barred
+    for tok in module.tokens(1):
+        for k in (-1, 0, 2):
+            for l in (0, 1, 2):
+                twin = module.word(k, l, tok)
+                barred = module.word(k, l, tok.barred())
+                assert barred == ModuleVector({t.barred(): c for t, c in twin.items()})
+                assert barred == _chain(module, k, l, tok.barred()) and not barred.is_zero
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +542,8 @@ SHAPES = [(0, False), (0, True), (1, False), (1, True)]
 
 
 def _stray_rings(handle, tables=()):
-    """Rings other than the handle's among its images and operators, its
-    module's words, and the {key: {key2: Scalar}} tables given."""
+    """Rings other than the handle's among its operators, its module's
+    words, and the {key: {key2: Scalar}} tables given."""
     vectors = list(handle._cache.values()) + list((handle.module._words or {}).values())
     coeffs = [c for vec in vectors for c in vec._terms.values()]
     coeffs += [c for table in tables for row in table.values() for c in row.values()]

@@ -808,6 +808,18 @@ def test_kronecker_point_keeps_carries_and_monomials_apart():
     assert _kronecker_zero([[(half, 0)], [(ONE, 1)]], [ONE, quarter], (), [(0, 0, 1)], [(1, 1)])
 
 
+def test_clear_reads_one_factor_per_rational_value():
+    # a rational is indexed by its value, so two objects of 1/2 in one table
+    # are cleared and evaluated once; a polynomial is indexed by identity
+    x = Scalar.parameter("x")
+    half, other = scalar(Fraction(1, 2)), 1 / scalar(2)
+    assert half is not other and half == other
+    rows, factors, _, delta = kernel._clear({0: {0: half, 1: x}, 1: {0: other, 1: x}}, ("x",))
+    assert rows == {0: {0: 0, 1: 1}, 1: {0: 0, 1: 1}}
+    assert factors == [({(0,): 1}, factors[0][1]), (x._n, factors[1][1])]
+    assert delta == {(0,): 2}
+
+
 def test_kronecker_delta_takes_each_primitive_part_once():
     l = Scalar.parameter("l")
     table = {0: {0: 1 / (l + 1)}, 1: {0: 1 / (l + 1) ** 3},
